@@ -2,7 +2,8 @@
 
 Operations executed while a Tape is active append adjoint closures to it;
 `backward` replays the tape in reverse execution order and accumulates
-gradients into the `.grad` buffers of every tensor that requires them.
+gradients into the `.grad` buffers of its leaves: the requires-grad tensors,
+such as parameters, that the tape reads but never produces.
 All computation is 64-bit so finite-difference gradient oracles stay tight.
 """
 
@@ -25,7 +26,8 @@ class Tensor:
     """A dense float64 array with an optional same-shape gradient buffer.
 
     Data is treated as immutable once the tensor has participated in a taped
-    operation; only `grad` mutates afterwards (filled by `backward`).
+    operation; only `grad` mutates afterwards. `backward` fills it on leaf
+    tensors only; a tensor produced on the tape keeps `grad` None.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -412,7 +414,7 @@ def sum_all(x):
         shape = x.data.shape
 
         def pull(g, acc):
-            acc(x, np.broadcast_to(g, shape).copy())
+            acc(x, np.broadcast_to(g, shape))
 
         _record(out, (x,), pull)
     return out
@@ -426,7 +428,7 @@ def sum_axis(x, axis, keepdims=False):
 
         def pull(g, acc):
             gg = g if keepdims else np.expand_dims(g, axis)
-            acc(x, np.broadcast_to(gg, shape).copy())
+            acc(x, np.broadcast_to(gg, shape))
 
         _record(out, (x,), pull)
     return out
@@ -441,7 +443,7 @@ def mean_axis(x, axis, keepdims=False):
 
         def pull(g, acc):
             gg = g if keepdims else np.expand_dims(g, axis)
-            acc(x, np.broadcast_to(gg / k, shape).copy())
+            acc(x, np.broadcast_to(gg / k, shape))
 
         _record(out, (x,), pull)
     return out
@@ -647,12 +649,15 @@ def l2_normalize_rows(x):
 
 
 def backward(loss, tape=None):
-    """Populate `.grad` for every requires-grad tensor reachable on the tape.
+    """Populate `.grad` on the tape's leaves: requires-grad tensors that some
+    record reads and none produces, such as parameter blocks.
 
     The adjoint of the scalar `loss` is seeded with 1.0 and the tape is
-    replayed once in reverse execution order. Gradients accumulate into any
-    pre-existing `.grad` buffers, so replaying twice doubles them. Tensors on
-    the tape that require gradients but receive none are zero-filled.
+    replayed once in reverse execution order, dropping each adjoint once its
+    pull has used it; intermediates keep `.grad` None. Leaf gradients
+    accumulate into any pre-existing `.grad` buffers, so replaying twice
+    doubles them; leaves that receive no gradient are zero-filled. Each
+    `.grad` written is a fresh, writeable array.
     """
     tape = tape if tape is not None else active_tape()
     if tape is None:
@@ -669,22 +674,25 @@ def backward(loss, tape=None):
         prev = adjoints.get(key)
         adjoints[key] = g if prev is None else prev + g
 
+    # Every consumer of a record's output comes later on the tape, so its
+    # adjoint is complete by the time the reverse replay reaches the record.
+    produced = set()
     for out, _inputs, pull in reversed(tape.records):
-        g = adjoints.get(id(out))
-        if g is None:
-            continue
-        pull(g, acc)
+        produced.add(id(out))
+        g = adjoints.pop(id(out), None)
+        if g is not None:
+            pull(g, acc)
 
-    deposited = set()
-    for out, inputs, _pull in tape.records:
-        for t in (*inputs, out):
+    for _out, inputs, _pull in tape.records:
+        for t in inputs:
             key = id(t)
-            if not t.requires_grad or key in deposited:
+            if not t.requires_grad or key in produced:
                 continue
-            deposited.add(key)
+            produced.add(key)  # deposit each leaf once
             g = adjoints.get(key)
-            contrib = np.zeros_like(t.data) if g is None else np.broadcast_to(g, t.data.shape)
-            t.grad = contrib.copy() if t.grad is None else t.grad + contrib
+            if g is None:
+                g = np.zeros_like(t.data)
+            t.grad = np.array(g) if t.grad is None else t.grad + g
 
 
 def finite_diff_check(f, params, eps=1e-5, eps_floor=1e-5):

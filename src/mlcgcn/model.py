@@ -28,7 +28,7 @@ class ModelConfig:
 
     series_len: int
     classes: int
-    n_rois: int = 273
+    n_rois: int = 200
     embed_len: int = 64
     conv_kernels: int = 8
     kernel_size: int = 5
@@ -469,9 +469,15 @@ class MLCGCN:
         for name, entry in doc["params"].items():
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             params[name] = Tensor(arr, requires_grad=True)
-        expected = set(init_params(cfg, np.random.default_rng(0)).keys())
-        if set(params.keys()) != expected:
+        expected = init_params(cfg, np.random.default_rng(0))
+        if params.keys() != expected.keys():
             raise ConfigError(f"checkpoint parameter names do not match the config in {path}")
+        for name, p in params.items():
+            got, want = p.data.shape, expected[name].data.shape
+            if got != want:
+                raise ConfigError(
+                    f"checkpoint block {name!r} has shape {got}, the config needs {want} in {path}"
+                )
         return cls(cfg, params=params)
 
 

@@ -238,6 +238,52 @@ def test_backward_zero_fills_unused_leaves():
     np.testing.assert_array_equal(unused.grad, np.zeros(2))
 
 
+def test_backward_leaves_intermediates_without_grad():
+    w = tensor([[1.0, 2.0], [3.0, -1.0]])
+    x = tensor([[0.5], [2.0]])
+    with ad.recording():
+        h = ad.matmul(w, x)
+        r = ad.relu(h)
+        loss = ad.sum_all(ad.mul(r, r))
+        ad.backward(loss)
+    assert h.grad is None and r.grad is None and loss.grad is None
+    gh = 2 * np.maximum(h.data, 0.0) * (h.data > 0)
+    np.testing.assert_allclose(w.grad, gh @ x.data.T)
+    np.testing.assert_allclose(x.grad, w.data.T @ gh)
+
+
+def test_backward_sums_a_leaf_shared_by_many_records():
+    rng = np.random.default_rng(3)
+    w = tensor(rng.normal(size=(3, 2)))
+    xs = [Tensor(rng.normal(size=(4, 3))) for _ in range(16)]
+    with ad.recording():
+        terms = [ad.sum_all(ad.matmul(x, w)) for x in xs]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        ad.backward(total)
+    expected = sum(x.data.sum(axis=0)[:, None] * np.ones((1, 2)) for x in xs)
+    np.testing.assert_allclose(w.grad, expected)
+
+
+def test_backward_leaf_grads_are_owned_writeable_arrays():
+    # Reduction pulls hand on read-only broadcast views, and `add` passes one
+    # adjoint object to both inputs; neither may leak into a leaf's `.grad`.
+    a, b = tensor(np.ones((3, 4))), tensor(np.ones((3, 4)))
+    c, d = tensor(np.ones((2, 5))), tensor(np.ones((2, 5)))
+    with ad.recording():
+        loss = ad.add(
+            ad.sum_all(ad.add(a, b)),
+            ad.add(ad.sum_all(ad.sum_axis(c, 1)), ad.sum_all(ad.mean_axis(d, 0))),
+        )
+        ad.backward(loss)
+    for leaf in (a, b, c, d):
+        assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        assert leaf.grad.shape == leaf.data.shape
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(d.grad, np.full((2, 5), 0.5))
+
+
 def test_tape_clear_empties_records():
     w = tensor(np.ones(3))
     with ad.recording() as tape:

@@ -1,6 +1,8 @@
 """Model-architecture tests: shape contracts, hand oracles, gradients,
 permutation equivariance, checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,11 @@ def test_config_rejects_embed_longer_than_series():
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         tiny_config(attention_heads=4)  # 6 % 4 != 0
+
+
+def test_config_defaults_validate():
+    cfg = ModelConfig(series_len=176, classes=2)
+    assert cfg.n_rois % cfg.attention_heads == 0
 
 
 def test_config_rejects_three_gcn_layers():
@@ -460,3 +467,19 @@ def test_checkpoint_bytes_stable_across_saves(tmp_path):
     model.save(p1)
     MLCGCN.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_rejects_block_shape_that_does_not_fit_config(tmp_path):
+    model = MLCGCN(tiny_config(), rng=derive_rng(21, "init"))
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    name = sorted(doc["params"])[0]
+    shape = doc["params"][name]["shape"]
+    bad = [shape[0] + 1, *shape[1:]]
+    doc["params"][name] = {"shape": bad, "data": [0.0] * int(np.prod(bad))}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        MLCGCN.load(path)
+    assert name in str(err.value)
+    assert str(tuple(bad)) in str(err.value) and str(tuple(shape)) in str(err.value)
