@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: synth, train, eval, ablate, gradcheck, export. Configuration
-comes from a flat "key = value" file with dotted keys (model.levels,
-train.learning_rate, synth.noise); repeated --set key=value flags override
-file values, and every run writes a resolved-config snapshot to its output
-directory. Exit codes: 0 success, 1 verification/metric failure, 2
+Subcommands: synth, train, eval, ablate, gradcheck, export. synth, train
+and ablate take configuration from a flat "key = value" file with dotted
+keys (model.levels, train.learning_rate, synth.noise), one per field of
+ModelConfig, TrainConfig and SyntheticSpec; repeated --set key=value flags
+override file values. Every run writes a resolved-config snapshot to its
+output directory. Exit codes: 0 success, 1 verification/metric failure, 2
 usage/config error. Logs go to stderr, data to files and stdout.
 """
 
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -27,7 +29,6 @@ from .data import (
     load_manifest,
     mean_graph,
     node_importance,
-    top_edges,
     write_dataset,
 )
 from .errors import (
@@ -73,50 +74,12 @@ def _level_subset(text):
     return tuple(int(v) for v in low.split("+"))
 
 
-_MODEL_KEYS = {
-    "model.n_rois": int,
-    "model.series_len": int,
-    "model.embed_len": int,
-    "model.conv_kernels": int,
-    "model.kernel_size": int,
-    "model.hidden_size": int,
-    "model.levels": int,
-    "model.attention_heads": int,
-    "model.gcn_layers": int,
-    "model.gcn_hidden": int,
-    "model.readout_dim": int,
-    "model.classes": int,
-    "model.dropout_rate": float,
-    "model.use_sfe": _bool,
-    "model.use_tfe": _bool,
-    "model.use_positional_encoding": _bool,
-    "model.normalize_adjacency": _bool,
-    "model.readout_mode": str,
-    "model.level_subset": _level_subset,
+_PARSERS = {int: int, float: float, bool: _bool, Optional[tuple]: _level_subset}
+_KNOWN_KEYS = {
+    f"{scope}.{f.name}": _PARSERS[f.type]
+    for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec))
+    for f in dataclasses.fields(cls)
 }
-_TRAIN_KEYS = {
-    "train.learning_rate": float,
-    "train.weight_decay": float,
-    "train.epochs": int,
-    "train.batch_size": int,
-    "train.mixup_alpha": float,
-    "train.alpha": float,
-    "train.seed": int,
-    "train.folds": int,
-}
-_SYNTH_KEYS = {
-    "synth.classes": int,
-    "synth.per_class": int,
-    "synth.n_rois": int,
-    "synth.series_len": int,
-    "synth.latent_rank": int,
-    "synth.strength": float,
-    "synth.noise": float,
-    "synth.seed": int,
-    "synth.hubs": int,
-    "synth.hub_gain": float,
-}
-_KNOWN_KEYS = {**_MODEL_KEYS, **_TRAIN_KEYS, **_SYNTH_KEYS}
 
 
 def parse_config_file(path):
@@ -135,10 +98,8 @@ def parse_config_file(path):
 
 def resolve_config(args):
     """Merge config file and --set overrides into a typed key->value dict."""
-    raw = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    raw = parse_config_file(args.config) if args.config else {}
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
@@ -156,11 +117,8 @@ def resolve_config(args):
     return typed
 
 
-def _dataclass_from_keys(cls, prefix, typed, extra=None):
-    kwargs = dict(extra or {})
-    for key, value in typed.items():
-        if key.startswith(prefix):
-            kwargs[key[len(prefix):]] = value
+def _dataclass_from_keys(cls, prefix, typed):
+    kwargs = {key[len(prefix):]: value for key, value in typed.items() if key.startswith(prefix)}
     return cls(**kwargs)
 
 
@@ -282,8 +240,7 @@ def cmd_eval(args):
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
     outdir = _out_dir(args)
-    write_snapshot(outdir, "eval", resolve_config(args),
-                   {"manifest": args.manifest, "checkpoint": args.checkpoint})
+    write_snapshot(outdir, "eval", {}, {"manifest": args.manifest, "checkpoint": args.checkpoint})
     lines = [f"{name} = {100.0 * value:.2f}" for name, value in
              zip(("Acc", "AUC", "Spe", "Sen", "F1"), report.values())]
     text = "\n".join(lines) + "\n"
@@ -423,28 +380,19 @@ def cmd_export(args):
         "what": args.what, "level": args.level,
     })
     mean = mean_graph(outputs, args.level)
-    written = []
     if args.what == "mean-graph":
         path = outdir / "mean_graph.csv"
         export_connectome(mean, path, fmt="matrix")
-        written.append(path)
     elif args.what == "top-edges":
         path = outdir / "top_edges.csv"
-        lines = ["i,j,weight"]
-        for i, j, w in top_edges(mean, args.fraction):
-            lines.append(f"{i},{j},{w:.17g}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-    elif args.what == "node-importance":
+        export_connectome(mean, path, fmt="edge-list", fraction=args.fraction)
+    else:
         path = outdir / "node_importance.csv"
-        ranked = node_importance(mean)[: args.top]
         lines = ["roi,score"]
-        for roi, score in ranked:
+        for roi, score in node_importance(mean)[: args.top]:
             lines.append(f"{roi},{score:.17g}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
-    for path in written:
-        print(path)
+    print(path)
     return 0
 
 
@@ -460,20 +408,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, configurable=False):
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUTPUT_ENV} or ./out)")
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable)")
+        if configurable:
+            p.add_argument("--config", default=None, help="flat key = value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key (repeatable)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    common(p)
+    common(p, configurable=True)
     p.add_argument("--force", action="store_true", help="overwrite a non-empty directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="cross-validated training from a manifest")
-    common(p)
+    common(p, configurable=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--levels", type=int, default=None, help="feature levels K")
     p.add_argument("--ablate", default=None, choices=("no-sfe", "no-tfe", "no-group"))
@@ -486,7 +435,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the module-ablation table")
-    common(p)
+    common(p, configurable=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", action="append", metavar="NAME:KEY=VALUE,...",
                    help="custom variant rows (default: the six module rows)")

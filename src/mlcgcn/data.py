@@ -199,7 +199,7 @@ def load_manifest(path) -> DatasetManifest:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     try:
         scans = [ScanRecord(**rec) for rec in doc["scans"]]
-        return DatasetManifest(
+        manifest = DatasetManifest(
             classes=list(doc["classes"]),
             n_rois=int(doc["n_rois"]),
             series_len=int(doc["series_len"]),
@@ -207,15 +207,19 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"manifest {path} is missing required fields: {exc}") from exc
+    seen = set()
+    for rec in scans:
+        if rec.id in seen:
+            raise DataError(f"manifest {path}: duplicate scan id {rec.id!r}")
+        seen.add(rec.id)
+    return manifest
 
 
-def load_dataset(manifest_path, truncate=False):
+def load_dataset(manifest_path):
     """Load and validate every scan named by a manifest.
 
     Returns ScanSamples ordered by scan_id. Any missing file, unknown label,
     or dimension mismatch raises a DataError naming the offending scan.
-    With `truncate`, series longer than the declared length are cut instead
-    of rejected.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
@@ -233,13 +237,10 @@ def load_dataset(manifest_path, truncate=False):
                 f"scan {rec.id}: expected {manifest.n_rois} ROI rows, found {series.shape[0]}"
             )
         if series.shape[1] != manifest.series_len:
-            if truncate and series.shape[1] > manifest.series_len:
-                series = series[:, : manifest.series_len]
-            else:
-                raise DataError(
-                    f"scan {rec.id}: expected series length {manifest.series_len}, "
-                    f"found {series.shape[1]}"
-                )
+            raise DataError(
+                f"scan {rec.id}: expected series length {manifest.series_len}, "
+                f"found {series.shape[1]}"
+            )
         if not np.isfinite(series).all():
             raise DataError(f"scan {rec.id}: series contains non-finite values")
         samples.append(
@@ -289,12 +290,12 @@ def mean_graph(level_outputs, selector="all"):
     return np.mean(mats, axis=0)
 
 
-def top_edges(a, fraction, by_magnitude=True):
+def top_edges(a, fraction):
     """Strongest off-diagonal edges of a symmetric matrix.
 
     Returns the ceil(fraction * n(n-1)/2) top upper-triangle entries as
-    (i, j, weight) tuples sorted descending by |weight| (or by signed weight
-    with by_magnitude=False); ties break by (i, j) order.
+    (i, j, weight) tuples sorted descending by |weight|; ties break by
+    (i, j) order.
     """
     a = _as_matrix(a)
     if not 0 < fraction <= 1:
@@ -303,39 +304,34 @@ def top_edges(a, fraction, by_magnitude=True):
     iu, ju = np.triu_indices(n, k=1)
     weights = a[iu, ju]
     count = math.ceil(fraction * n * (n - 1) / 2)
-    key = np.abs(weights) if by_magnitude else weights
+    key = np.abs(weights)
     order = sorted(range(len(weights)), key=lambda e: (-key[e], iu[e], ju[e]))
     return [(int(iu[e]), int(ju[e]), float(weights[e])) for e in order[:count]]
 
 
-def node_importance(a, absolute=False):
-    """Rank nodes by their summed off-diagonal edge weights, descending.
+def node_importance(a):
+    """Rank nodes by their signed summed off-diagonal edge weights, descending.
 
-    Uses the signed sum by default; `absolute` ranks by total |weight|.
     Ties keep ascending node order.
     """
     a = _as_matrix(a)
-    mat = np.abs(a) if absolute else a
-    scores = mat.sum(axis=1) - np.diag(mat)
+    scores = a.sum(axis=1) - np.diag(a)
     order = np.argsort(-scores, kind="stable")
     return [(int(i), float(scores[i])) for i in order]
 
 
-def export_connectome(a, path, fmt="matrix", roi_labels=None, fraction=1.0):
+def export_connectome(a, path, fmt="matrix", fraction=1.0):
     """Write a connectome as delimited text.
 
-    matrix: header row of ROI labels then n rows of n values.
+    matrix: header row of ROI labels (roi0, roi1, ...) then n rows of n values.
     edge-list: header "i,j,weight" then one row per top_edges(a, fraction)
     edge, skipping exact-zero weights (a zero matrix gives an empty body).
     """
     a = _as_matrix(a)
-    n = a.shape[0]
-    if roi_labels is None:
-        roi_labels = [f"roi{i}" for i in range(n)]
     path = Path(path)
     try:
         if fmt == "matrix":
-            lines = [",".join(roi_labels)]
+            lines = [",".join(f"roi{i}" for i in range(a.shape[0]))]
             for row in a:
                 lines.append(",".join(FLOAT_FMT % v for v in row))
         elif fmt == "edge-list":

@@ -10,7 +10,7 @@ readout embeddings.
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,22 +35,18 @@ class ModelConfig:
     hidden_size: int = 64
     levels: int = 6
     attention_heads: int = 4
-    gcn_layers: int = 2
     gcn_hidden: int = 64
     readout_dim: int = 64
     dropout_rate: float = 0.2
     use_sfe: bool = True
     use_tfe: bool = True
     use_positional_encoding: bool = True
-    normalize_adjacency: bool = False
-    readout_mode: str = "mean"
     level_subset: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.gcn_layers != 2:
-            raise ConfigError("gcn_layers is fixed at 2")
+        for f in fields(self):
+            if f.type is int and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.embed_len > self.series_len:
             raise ConfigError(
                 f"embed_len ({self.embed_len}) must not exceed series_len ({self.series_len})"
@@ -59,8 +55,8 @@ class ModelConfig:
             raise ConfigError("at least one of use_sfe/use_tfe must be enabled")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ConfigError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        if self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.use_sfe and self.n_rois % self.attention_heads != 0:
             raise ConfigError(
                 f"n_rois ({self.n_rois}) must be divisible by attention_heads "
@@ -68,8 +64,6 @@ class ModelConfig:
             )
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.readout_mode not in ("mean", "flatten"):
-            raise ConfigError(f"readout_mode must be 'mean' or 'flatten', got {self.readout_mode!r}")
         if self.level_subset is not None:
             subset = tuple(sorted(set(int(v) for v in self.level_subset)))
             if not subset:
@@ -174,8 +168,7 @@ def init_params(cfg: ModelConfig, rng) -> dict:
     for k in cfg.gcn_levels:
         params[f"gcn{k}.w0"] = _uniform(rng, n, (n, cfg.gcn_hidden))
         params[f"gcn{k}.w1"] = _uniform(rng, cfg.gcn_hidden, (cfg.gcn_hidden, cfg.gcn_hidden))
-        pooled = cfg.gcn_hidden if cfg.readout_mode == "mean" else n * cfg.gcn_hidden
-        params[f"readout{k}.w"] = _uniform(rng, pooled, (pooled, cfg.readout_dim))
+        params[f"readout{k}.w"] = _uniform(rng, cfg.gcn_hidden, (cfg.gcn_hidden, cfg.readout_dim))
         params[f"readout{k}.b"] = _zeros((cfg.readout_dim,))
     width = len(cfg.gcn_levels) * cfg.readout_dim
     params["head.w1"] = _uniform(rng, width, (width, h))
@@ -286,12 +279,6 @@ def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None)
     the model width is the ROI axis), passed through pre-norm attention and
     feed-forward sublayers plus a final layer norm, and transposed back.
     """
-    if not cfg.use_sfe:
-        raise ConfigError("sfe_forward called with use_sfe disabled")
-    if cfg.n_rois % cfg.attention_heads != 0:
-        raise ConfigError(
-            f"n_rois ({cfg.n_rois}) not divisible by attention_heads ({cfg.attention_heads})"
-        )
     p = f"stfe{level}.sfe."
     x = ad.transpose(h_in)  # [l x n]
     attn_in = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
@@ -314,8 +301,6 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
     trend; the residual is the seasonal part; trend + seasonal reconstructs
     the input exactly.
     """
-    if not cfg.use_tfe:
-        raise ConfigError("tfe_forward called with use_tfe disabled")
     p = f"stfe{level}.tfe."
     trend = ad.avgpool1d_same(h_in, cfg.kernel_size)
     seasonal = ad.sub(h_in, trend)
@@ -329,8 +314,6 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
 
 def stfe_forward(h_in, level, params, cfg: ModelConfig, training=False, rng=None):
     """One feature-extraction level: run the enabled pathways, fuse, MLP."""
-    if not (cfg.use_sfe or cfg.use_tfe):
-        raise ConfigError("stfe_forward needs at least one enabled pathway")
     if not 1 <= level <= cfg.levels:
         raise ConfigError(f"level must be in [1, {cfg.levels}], got {level}")
     parts = []
@@ -345,31 +328,21 @@ def stfe_forward(h_in, level, params, cfg: ModelConfig, training=False, rng=None
 def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
     """Two graph-convolution layers with added self-connections.
 
-    A_hat = A + I (no degree normalization by default) is shared by both
-    layers; node features start from the Pearson matrix.
+    A_hat = A + I (no degree normalization) is shared by both layers; node
+    features start from the Pearson matrix.
     """
     n = cfg.n_rois
     if adj.data.shape != (n, n):
         raise ShapeError(f"adjacency must be [{n} x {n}], got {adj.data.shape}")
     a_hat = ad.add(adj, Tensor(np.eye(n)))
-    if cfg.normalize_adjacency:
-        # Optional symmetric scaling; degrees use |A_hat| row sums and are
-        # treated as constants, so this is an escape hatch rather than the
-        # differentiable renormalization trick.
-        deg = np.abs(a_hat.data).sum(axis=1)
-        inv_sqrt = Tensor(np.diag(1.0 / np.sqrt(np.maximum(deg, 1e-12))))
-        a_hat = ad.matmul(ad.matmul(inv_sqrt, a_hat), inv_sqrt)
     h = ad.relu(ad.matmul(ad.matmul(a_hat, node_feats), params[f"gcn{level}.w0"]))
     h = ad.relu(ad.matmul(ad.matmul(a_hat, h), params[f"gcn{level}.w1"]))
     return h
 
 
 def readout(gcn_out, params, cfg: ModelConfig, level):
-    """Summarize node encodings into one [1 x e] row per level."""
-    if cfg.readout_mode == "mean":
-        pooled = ad.mean_axis(gcn_out, axis=0, keepdims=True)
-    else:
-        pooled = ad.reshape(gcn_out, (1, gcn_out.data.shape[0] * gcn_out.data.shape[1]))
+    """Mean-pool node encodings into one [1 x e] row per level."""
+    pooled = ad.mean_axis(gcn_out, axis=0, keepdims=True)
     return ad.relu(ad.add(ad.matmul(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
 
 
@@ -448,7 +421,7 @@ class MLCGCN:
         """
         doc = {
             "format": CHECKPOINT_FORMAT,
-            "config": _config_to_jsonable(self.config),
+            "config": asdict(self.config),
             "params": {
                 name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
                 for name, p in self.params.items()
@@ -464,7 +437,15 @@ class MLCGCN:
             doc = json.load(fh)
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format in {path}")
-        cfg = _config_from_jsonable(doc["config"])
+        keys = doc["config"].keys()
+        names = {f.name for f in fields(ModelConfig)}
+        missing, unknown = sorted(names - keys), sorted(keys - names)
+        if missing or unknown:
+            raise ConfigError(
+                f"checkpoint config in {path} does not fit ModelConfig: "
+                f"missing keys {missing}, unknown keys {unknown}"
+            )
+        cfg = ModelConfig(**doc["config"])
         params = {}
         for name, entry in doc["params"].items():
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
@@ -479,17 +460,3 @@ class MLCGCN:
                     f"checkpoint block {name!r} has shape {got}, the config needs {want} in {path}"
                 )
         return cls(cfg, params=params)
-
-
-def _config_to_jsonable(cfg: ModelConfig) -> dict:
-    doc = asdict(cfg)
-    if doc["level_subset"] is not None:
-        doc["level_subset"] = list(doc["level_subset"])
-    return doc
-
-
-def _config_from_jsonable(doc: dict) -> ModelConfig:
-    doc = dict(doc)
-    if doc.get("level_subset") is not None:
-        doc["level_subset"] = tuple(doc["level_subset"])
-    return ModelConfig(**doc)

@@ -8,13 +8,13 @@ run concurrently without sharing state.
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, TrainingError
+from .errors import ConfigError, TrainingError
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import FoldReport, compute_metrics, stratified_kfold
 from .model import MLCGCN, ModelConfig
@@ -179,31 +179,10 @@ def evaluate_model(model: MLCGCN, samples):
 
 
 def intra_group_dissimilarity(model: MLCGCN, samples):
-    """Mean squared distance of generated graphs from their class means,
-    measured over the whole sample list (no gradients involved).
-
-    This is the same statistic the group loss optimizes, evaluated as a
-    diagnostic regardless of the training alpha.
-    """
-    if not samples:
-        raise ContractError("intra_group_dissimilarity on an empty sample list")
-    per_sample = []
-    labels = []
-    for s in samples:
-        _, levels = model.predict(Tensor(s.series))
-        per_sample.append([a.data for a in levels.adjacencies])
-        labels.append(s.label)
-    labels = np.asarray(labels)
-    k = model.config.levels
-    total = 0.0
-    for level in range(k):
-        for cls in np.unique(labels):
-            members = [per_sample[u][level] for u in np.flatnonzero(labels == cls)]
-            if len(members) < 2:
-                continue
-            mu = np.mean(members, axis=0)
-            total += sum(float(((m - mu) ** 2).sum()) for m in members) / len(members)
-    return total / k
+    """The group loss over the whole sample list, taken as a diagnostic
+    regardless of the training alpha (no tape, so no gradients)."""
+    graphs = [model.predict(Tensor(s.series))[1].adjacencies for s in samples]
+    return float(group_loss(graphs, [s.label for s in samples], model.config.levels).data)
 
 
 @dataclass
@@ -274,17 +253,14 @@ TABLE_VARIANTS = [
 
 
 def _apply_deltas(model_cfg, train_cfg, deltas):
-    model_kw = {}
-    train_kw = {}
+    configs = {"model": model_cfg, "train": train_cfg}
+    changes = {"model": {}, "train": {}}
     for key, value in deltas.items():
         scope, _, name = key.partition(".")
-        if scope == "model":
-            model_kw[name] = value
-        elif scope == "train":
-            train_kw[name] = value
-        else:
+        if scope not in configs or name not in {f.name for f in fields(configs[scope])}:
             raise ConfigError(f"unknown variant key {key!r}")
-    return replace(model_cfg, **model_kw), replace(train_cfg, **train_kw)
+        changes[scope][name] = value
+    return replace(model_cfg, **changes["model"]), replace(train_cfg, **changes["train"])
 
 
 def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, variants=None):
@@ -311,7 +287,7 @@ def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, varian
                 )
             )
             rows.append(AblationRow(name, result.report, dissim))
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             log.warning("variant %s failed: %s", name, exc)
             rows.append(AblationRow(name, None, float("nan"), error=str(exc)))
     return rows

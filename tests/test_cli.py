@@ -1,12 +1,16 @@
 """End-to-end CLI tests: every subcommand, exit codes, reproducibility."""
 
+import dataclasses
 import json
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from mlcgcn.cli import main
-from mlcgcn.data import load_connectome, load_manifest
+from mlcgcn.cli import build_parser, main, resolve_config
+from mlcgcn.data import SyntheticSpec, load_connectome, load_manifest
+from mlcgcn.model import ModelConfig
+from mlcgcn.training import TrainConfig
 
 
 SYNTH_ARGS = [
@@ -96,6 +100,39 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_every_config_field_settable_and_typed():
+    samples = {
+        int: ("3", 3), float: ("0.5", 0.5), bool: ("false", False),
+        Optional[tuple]: ("0+1", (0, 1)),
+    }
+    argv, expected = ["synth"], {}
+    for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec)):
+        for f in dataclasses.fields(cls):
+            text, value = samples[f.type]
+            argv += ["--set", f"{scope}.{f.name}={text}"]
+            expected[f"{scope}.{f.name}"] = value
+    typed = resolve_config(build_parser().parse_args(argv))
+    assert typed == expected
+    assert all(type(typed[k]) is type(v) for k, v in expected.items())
+
+
+@pytest.mark.parametrize("key", ["model.gcn_layers", "model.normalize_adjacency",
+                                 "model.readout_mode"])
+def test_removed_model_keys_rejected(tmp_path, capsys, key):
+    assert main(["synth", "--out", str(tmp_path / "x"), "--set", f"{key}=1"]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck"],
+    ["eval", "--checkpoint", "c.ckpt", "--manifest", "m.json"],
+    ["export", "--checkpoint", "c.ckpt", "--manifest", "m.json", "--what", "mean-graph"],
+])
+def test_config_options_refused_where_unused(argv, capsys):
+    assert main([*argv, "--set", "x=1"]) == 2
+    assert "unrecognized arguments: --set x=1" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 
@@ -148,6 +185,15 @@ def test_train_rerun_from_snapshot_matches(dataset_dir, trained_dir, tmp_path):
     assert (out / "fold_report.txt").read_bytes() == (
         trained_dir / "fold_report.txt"
     ).read_bytes()
+
+
+def test_train_zero_attention_heads_is_config_error(dataset_dir, tmp_path, capsys):
+    rc = main([
+        "train", "--manifest", str(dataset_dir / "manifest.json"),
+        "--out", str(tmp_path / "bad"), *TRAIN_ARGS, "--set", "model.attention_heads=0",
+    ])
+    assert rc == 2
+    assert "attention_heads must be >= 1" in capsys.readouterr().err
 
 
 def test_train_levels_flag_controls_depth(dataset_dir, tmp_path):

@@ -12,6 +12,7 @@ from mlcgcn.data import (
     generate_synthetic,
     load_connectome,
     load_dataset,
+    load_manifest,
     mean_graph,
     node_importance,
     top_edges,
@@ -127,13 +128,13 @@ def test_dataset_wrong_length_names_scan(tmp_path):
         load_dataset(manifest_path)
 
 
-def test_dataset_truncate_flag(tmp_path):
-    manifest_path, _ = _write_tiny_dataset(tmp_path, length=20)
+def test_manifest_duplicate_scan_id_names_it(tmp_path):
+    manifest_path, _ = _write_tiny_dataset(tmp_path)
     doc = json.loads(manifest_path.read_text())
-    doc["series_len"] = 15
+    doc["scans"].append(doc["scans"][1])
     manifest_path.write_text(json.dumps(doc))
-    loaded = load_dataset(manifest_path, truncate=True)
-    assert all(s.series.shape == (6, 15) for s in loaded)
+    with pytest.raises(DataError, match=f"duplicate scan id '{doc['scans'][1]['id']}'"):
+        load_manifest(manifest_path)
 
 
 def test_dataset_missing_file_names_scan(tmp_path):

@@ -89,9 +89,16 @@ def test_config_defaults_validate():
     assert cfg.n_rois % cfg.attention_heads == 0
 
 
-def test_config_rejects_three_gcn_layers():
-    with pytest.raises(ConfigError):
-        tiny_config(gcn_layers=3)
+@pytest.mark.parametrize("name, value", [
+    *((name, 0) for name in (
+        "series_len", "classes", "n_rois", "embed_len", "conv_kernels", "kernel_size",
+        "hidden_size", "levels", "attention_heads", "gcn_hidden", "readout_dim",
+    )),
+    ("gcn_hidden", -1),
+])
+def test_config_rejects_non_positive_sizes(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
+        tiny_config(**{name: value})
 
 
 def test_config_rejects_bad_level_subset():
@@ -467,6 +474,20 @@ def test_checkpoint_bytes_stable_across_saves(tmp_path):
     model.save(p1)
     MLCGCN.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_config_key_mismatch_names_the_keys(tmp_path):
+    model = MLCGCN(tiny_config(), rng=derive_rng(22, "init"))
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc["config"]["gcn_layers"] = 2
+    del doc["config"]["levels"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        MLCGCN.load(path)
+    assert "missing keys ['levels']" in str(err.value)
+    assert "unknown keys ['gcn_layers']" in str(err.value)
 
 
 def test_checkpoint_rejects_block_shape_that_does_not_fit_config(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcgcn import training
 from mlcgcn.autodiff import Tensor
 from mlcgcn.data import SyntheticSpec, generate_synthetic
 from mlcgcn.errors import TrainingError
@@ -282,6 +283,20 @@ def test_intra_group_dissimilarity_nonnegative():
     assert intra_group_dissimilarity(model, samples) >= 0.0
 
 
+def test_intra_group_dissimilarity_matches_numpy_reference():
+    samples = small_dataset(per_class=3, classes=3)
+    model = MLCGCN(small_model_config(classes=3), rng=derive_rng(12, "init"))
+    graphs = [[a.data for a in model.predict(Tensor(s.series))[1].adjacencies] for s in samples]
+    labels = np.array([s.label for s in samples])
+    want = 0.0
+    for level in range(model.config.levels):
+        for cls in np.unique(labels):
+            members = np.stack([graphs[u][level] for u in np.flatnonzero(labels == cls)])
+            want += ((members - members.mean(axis=0)) ** 2).sum() / len(members)
+    want /= model.config.levels
+    assert intra_group_dissimilarity(model, samples) == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # ablation harness
 
@@ -325,3 +340,21 @@ def test_run_ablation_invalid_variant_marked_failed():
     assert rows[0].failed and "use_sfe" in rows[0].error
     assert not rows[1].failed
     assert all(0.0 <= v <= 1.0 for v in rows[1].report.mean().values())
+
+
+def test_run_ablation_unknown_variant_field_marked_failed():
+    samples = small_dataset(per_class=4)
+    rows = run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2),
+                        [("bogus", {"model.bogus": 1})])
+    assert rows[0].failed and "model.bogus" in rows[0].error
+
+
+def test_run_ablation_does_not_hide_type_errors(monkeypatch):
+    def broken_run_cv(*args):
+        raise TypeError("a bug inside run_cv")
+
+    monkeypatch.setattr(training, "run_cv", broken_run_cv)
+    samples = small_dataset(per_class=4)
+    with pytest.raises(TypeError, match="a bug inside run_cv"):
+        run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2),
+                     [("full", {})])
