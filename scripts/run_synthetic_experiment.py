@@ -39,7 +39,8 @@ def main():
     ])
     run([
         "train", "--manifest", str(data_dir / "manifest.json"),
-        "--out", str(train_dir), "--levels", str(args.levels),
+        "--out", str(train_dir),
+        "--set", f"model.levels={args.levels}",
         "--set", "model.embed_len=32",
         "--set", "model.hidden_size=32",
         "--set", "model.gcn_hidden=32",

@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractError, OracleError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 LOG_FLOOR = 1e-12
+FINITE_DIFF_FLOOR = 1e-5
 
 _TLS = threading.local()
 
@@ -42,49 +43,15 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -198,34 +165,6 @@ def mul(a, b):
     return out
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, _unbroadcast(g / bd, ad.shape))
-            if b.requires_grad:
-                acc(b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-        _record(out, (a, b), pull)
-    return out
-
-
-def neg(x):
-    x = _as_tensor(x)
-    out = Tensor(-x.data, x.requires_grad)
-    if out.requires_grad:
-
-        def pull(g, acc):
-            acc(x, -g)
-
-        _record(out, (x,), pull)
-    return out
-
-
 def scale(x, c):
     """Multiply by a plain Python/NumPy scalar constant."""
     x = _as_tensor(x)
@@ -241,16 +180,7 @@ def scale(x, c):
 
 
 def relu(x):
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
-    if out.requires_grad:
-        mask = x.data > 0
-
-        def pull(g, acc):
-            acc(x, g * mask)
-
-        _record(out, (x,), pull)
-    return out
+    return clamp_min(x, 0.0)
 
 
 def log(x):
@@ -415,20 +345,6 @@ def sum_all(x):
 
         def pull(g, acc):
             acc(x, np.broadcast_to(g, shape))
-
-        _record(out, (x,), pull)
-    return out
-
-
-def sum_axis(x, axis, keepdims=False):
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
-    if out.requires_grad:
-        shape = x.data.shape
-
-        def pull(g, acc):
-            gg = g if keepdims else np.expand_dims(g, axis)
-            acc(x, np.broadcast_to(gg, shape))
 
         _record(out, (x,), pull)
     return out
@@ -695,14 +611,14 @@ def backward(loss, tape=None):
             t.grad = np.array(g) if t.grad is None else t.grad + g
 
 
-def finite_diff_check(f, params, eps=1e-5, eps_floor=1e-5):
+def finite_diff_check(f, params, eps=1e-5):
     """Max relative disagreement between reverse-mode and central differences.
 
     `f` must be a scalar-valued function of the single tensor `params`.
     Returns max over coordinates of |analytic - central| normalized by
-    (|analytic| + |central| + eps_floor); the floor absorbs central-difference
-    rounding noise (about machine epsilon times |f| / eps) on coordinates
-    whose true gradient is zero.
+    (|analytic| + |central| + FINITE_DIFF_FLOOR); the floor absorbs
+    central-difference rounding noise (about machine epsilon times |f| / eps)
+    on coordinates whose true gradient is zero.
     """
     if eps <= 0:
         raise ConfigError(f"finite_diff_check eps must be > 0, got {eps}")
@@ -732,7 +648,7 @@ def finite_diff_check(f, params, eps=1e-5, eps_floor=1e-5):
             raise OracleError(f"non-finite objective at perturbed coordinate {i}")
         numeric[i] = (fp - fm) / (2.0 * eps)
     numeric = numeric.reshape(params.data.shape)
-    denom = np.abs(analytic) + np.abs(numeric) + eps_floor
+    denom = np.abs(analytic) + np.abs(numeric) + FINITE_DIFF_FLOOR
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 

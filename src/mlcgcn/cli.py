@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (
     DatasetManifest,
@@ -40,17 +39,17 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import compute_metrics
-from .model import MLCGCN, ModelConfig, predict
-from .seeding import derive_rng
+from .model import MLCGCN, ModelConfig
 from .training import (
     TABLE_VARIANTS,
     TrainConfig,
     ablation_table,
     evaluate_model,
+    gradcheck_config,
     run_ablation,
     run_cv,
+    run_gradcheck,
 )
 
 log = logging.getLogger("mlcgcn")
@@ -84,8 +83,12 @@ _KNOWN_KEYS = {
 
 def parse_config_file(path):
     """Read "key = value" lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -184,17 +187,6 @@ def cmd_synth(args):
 def _build_configs(args, manifest):
     typed = resolve_config(args)
     typed = _fill_model_defaults(typed, manifest)
-    if getattr(args, "levels", None) is not None:
-        typed["model.levels"] = args.levels
-    if getattr(args, "ablate", None):
-        ablate_keys = {
-            "no-sfe": {"model.use_sfe": False},
-            "no-tfe": {"model.use_tfe": False},
-            "no-group": {"train.alpha": 0.0},
-        }
-        if args.ablate not in ablate_keys:
-            raise ConfigError(f"--ablate must be one of {sorted(ablate_keys)}, got {args.ablate!r}")
-        typed.update(ablate_keys[args.ablate])
     model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
     return typed, model_cfg, train_cfg
@@ -278,64 +270,6 @@ def cmd_ablate(args):
 GRADCHECK_LIMITS = {"n_rois": 8, "series_len": 32, "levels": 2}
 
 
-def gradcheck_config(n_rois=6, series_len=20, embed_len=8, levels=2, classes=3):
-    return ModelConfig(
-        series_len=series_len,
-        classes=classes,
-        n_rois=n_rois,
-        embed_len=embed_len,
-        conv_kernels=4,
-        kernel_size=5,
-        hidden_size=8,
-        levels=levels,
-        attention_heads=2,
-        gcn_hidden=8,
-        readout_dim=8,
-        dropout_rate=0.2,
-    )
-
-
-def gradcheck_loss_builder(cfg: ModelConfig, seed=0, samples_per_class=2):
-    """Deterministic composite-loss closure over a tiny labelled batch."""
-    rng = derive_rng(seed, "gradcheck-data")
-    series = []
-    labels = []
-    for cls in range(cfg.classes):
-        for _ in range(samples_per_class):
-            series.append(rng.normal(size=(cfg.n_rois, cfg.series_len)))
-            labels.append(cls)
-    targets = BatchTargets.from_labels(labels, cfg.classes)
-
-    def loss_of(params):
-        rows = []
-        graphs = []
-        for s in series:
-            probs, levels = predict(Tensor(s), params, cfg, training=False)
-            rows.append(probs)
-            graphs.append(levels.adjacencies)
-        ce = cross_entropy(ad.stack_rows(rows), targets)
-        grp = group_loss(graphs, targets.dominant, cfg.levels)
-        return total_loss(ce, grp, 1.0)
-
-    return loss_of
-
-
-def run_gradcheck(cfg: ModelConfig, tolerance, seed=0, eps=1e-6):
-    """Finite-difference check of every parameter block; returns result rows."""
-    model = MLCGCN(cfg, rng=derive_rng(seed, "gradcheck-init"))
-    loss_of = gradcheck_loss_builder(cfg, seed=seed)
-
-    base_params = model.params
-    results = []
-    for name, tensor in sorted(base_params.items()):
-        def block_loss(p, _name=name):
-            return loss_of({**base_params, _name: p})
-
-        err = ad.finite_diff_check(block_loss, tensor, eps=eps)
-        results.append((name, err, err < tolerance))
-    return results
-
-
 def cmd_gradcheck(args):
     cfg = gradcheck_config(
         n_rois=args.n_rois, series_len=args.series_len,
@@ -369,6 +303,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_export(args):
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     model = MLCGCN.load(args.checkpoint)
     samples = load_dataset(args.manifest)
     if not samples:
@@ -424,8 +360,6 @@ def build_parser():
     p = sub.add_parser("train", help="cross-validated training from a manifest")
     common(p, configurable=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--levels", type=int, default=None, help="feature levels K")
-    p.add_argument("--ablate", default=None, choices=("no-sfe", "no-tfe", "no-group"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

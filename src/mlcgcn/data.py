@@ -281,7 +281,13 @@ def mean_graph(level_outputs, selector="all"):
         elif selector == "all":
             mats.extend(_as_matrix(a) for a in out.adjacencies)
         else:
-            level = int(selector)
+            try:
+                level = int(selector)
+            except ValueError:
+                raise ConfigError(
+                    f"level selector must be a 1-based index, 'all' or 'pearson', "
+                    f"got {selector!r}"
+                ) from None
             if not 1 <= level <= len(out.adjacencies):
                 raise ConfigError(
                     f"level selector {level} outside [1, {len(out.adjacencies)}]"

@@ -86,7 +86,6 @@ class ModelConfig:
 class LevelOutputs:
     """Per-level artifacts of one forward pass."""
 
-    features: list  # K tensors [n x l]
     adjacencies: list  # K tensors [n x n]
     pearson: Tensor  # [n x n]
     embeddings: list  # one [e] vector per encoded graph level
@@ -363,7 +362,6 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
     z = embed(x, params, cfg)
     _check_finite(z, "embedding")
 
-    features = []
     adjacencies = []
     h = z
     for level in range(1, cfg.levels + 1):
@@ -371,7 +369,6 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
         _check_finite(h, f"features at level {level}")
         adj = generate_adjacency(h)
         _check_finite(adj, f"adjacency at level {level}")
-        features.append(h)
         adjacencies.append(adj)
 
     embeddings = []
@@ -388,7 +385,6 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
     _check_finite(probs, "class probabilities")
 
     outputs = LevelOutputs(
-        features=features,
         adjacencies=adjacencies,
         pearson=pearson,
         embeddings=[ad.reshape(e, (cfg.readout_dim,)) for e in embeddings],
@@ -407,10 +403,6 @@ class MLCGCN:
 
     def predict(self, x, training=False, rng=None):
         return predict(x, self.params, self.config, training=training, rng=rng)
-
-    def param_blocks(self):
-        """Named parameter tensors in a stable order."""
-        return sorted(self.params.items())
 
     def save(self, path):
         """Write a self-describing JSON checkpoint (canonical key order).
@@ -433,10 +425,16 @@ class MLCGCN:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format in {path}")
+        lacking = sorted({"config", "params"} - doc.keys())
+        if lacking:
+            raise ConfigError(f"checkpoint {path} lacks {lacking}")
         keys = doc["config"].keys()
         names = {f.name for f in fields(ModelConfig)}
         missing, unknown = sorted(names - keys), sorted(keys - names)

@@ -1,5 +1,5 @@
 """Optimization loop: AdamW, mixup augmentation, cross-validated experiments,
-and the ablation harness.
+the ablation harness, and the finite-difference gradient check.
 
 Every fold owns a private model, optimizer, and RNG streams derived from
 (seed, fold index), so runs are bit-reproducible end to end and folds could
@@ -129,13 +129,33 @@ def class_balanced_batches(labels, batch_size, rng):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
+def batch_loss(model: MLCGCN, series, targets: BatchTargets, alpha, training=False, rng=None):
+    """Composite objective of one batch; returns (ce, group, total) tensors.
+
+    Forward every scan, stack the probability rows into one cross entropy,
+    and add alpha times the group penalty over the generated graphs. The
+    group term is skipped entirely when alpha is 0 (reported as 0).
+    """
+    prob_rows = []
+    graphs = []
+    for s in series:
+        probs, levels = model.predict(Tensor(s), training=training, rng=rng)
+        prob_rows.append(probs)
+        graphs.append(levels.adjacencies)
+    ce = cross_entropy(ad.stack_rows(prob_rows), targets)
+    if alpha > 0:
+        grp = group_loss(graphs, targets.dominant, model.config.levels)
+    else:
+        grp = Tensor(0.0)
+    return ce, grp, total_loss(ce, grp, alpha)
+
+
 def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
                 rng_batches, rng_mixup, rng_dropout, epoch):
     """One pass over the data; returns mean CE / group / total loss.
 
-    Per batch: mixup, forward every sample, assemble the composite loss,
-    backward, AdamW step. The group term is skipped entirely when alpha is 0
-    (reported as 0). A non-finite loss aborts the epoch naming the batch.
+    Per batch: mixup, the batch objective with dropout on, backward, AdamW
+    step. A non-finite loss aborts the epoch naming the batch.
     """
     labels = [s.label for s in samples]
     batches = class_balanced_batches(labels, cfg.batch_size, rng_batches)
@@ -147,19 +167,9 @@ def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
         targets = BatchTargets.from_labels([samples[i].label for i in batch], classes)
         series, targets, _lam = mixup_batch(series, targets, cfg.mixup_alpha, rng_mixup)
         with ad.recording():
-            prob_rows = []
-            graphs = []
-            for s in series:
-                probs, levels = model.predict(Tensor(s), training=True, rng=rng_dropout)
-                prob_rows.append(probs)
-                graphs.append(levels.adjacencies)
-            probs_mat = ad.stack_rows(prob_rows)
-            ce = cross_entropy(probs_mat, targets)
-            if cfg.alpha > 0:
-                grp = group_loss(graphs, targets.dominant, model.config.levels)
-            else:
-                grp = Tensor(0.0)
-            loss = total_loss(ce, grp, cfg.alpha)
+            ce, grp, loss = batch_loss(
+                model, series, targets, cfg.alpha, training=True, rng=rng_dropout
+            )
             if not np.isfinite(loss.data):
                 raise TrainingError(f"epoch {epoch} aborted: non-finite loss in batch {batch_no}")
             ad.zero_grads(model.params)
@@ -304,3 +314,51 @@ def ablation_table(rows) -> str:
         cells = [f"{m}±{s}" for m, s in zip(mean.percent_cells(), std.percent_cells())]
         lines.append(",".join([row.name, *cells, f"{row.group_dissimilarity:.6f}"]))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+
+
+def gradcheck_config(n_rois=6, series_len=20, embed_len=8, levels=2, classes=3):
+    """The tiny model the finite-difference gradient check runs on."""
+    return ModelConfig(
+        series_len=series_len,
+        classes=classes,
+        n_rois=n_rois,
+        embed_len=embed_len,
+        conv_kernels=4,
+        kernel_size=5,
+        hidden_size=8,
+        levels=levels,
+        attention_heads=2,
+        gcn_hidden=8,
+        readout_dim=8,
+        dropout_rate=0.2,
+    )
+
+
+def run_gradcheck(cfg: ModelConfig, tolerance, seed=0, eps=1e-6):
+    """Finite-difference check of every parameter block; returns result rows.
+
+    The objective is the batch loss with alpha 1, dropout and mixup off, over
+    a deterministic batch of two random scans per class.
+    """
+    base = MLCGCN(cfg, rng=derive_rng(seed, "gradcheck-init")).params
+    rng = derive_rng(seed, "gradcheck-data")
+    series = []
+    labels = []
+    for cls in range(cfg.classes):
+        for _ in range(2):
+            series.append(rng.normal(size=(cfg.n_rois, cfg.series_len)))
+            labels.append(cls)
+    targets = BatchTargets.from_labels(labels, cfg.classes)
+
+    results = []
+    for name, tensor in sorted(base.items()):
+        def block_loss(p, _name=name):
+            return batch_loss(MLCGCN(cfg, params={**base, _name: p}), series, targets, 1.0)[2]
+
+        err = ad.finite_diff_check(block_loss, tensor, eps=eps)
+        results.append((name, err, err < tolerance))
+    return results

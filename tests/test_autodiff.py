@@ -274,7 +274,7 @@ def test_backward_leaf_grads_are_owned_writeable_arrays():
     with ad.recording():
         loss = ad.add(
             ad.sum_all(ad.add(a, b)),
-            ad.add(ad.sum_all(ad.sum_axis(c, 1)), ad.sum_all(ad.mean_axis(d, 0))),
+            ad.add(ad.sum_all(c), ad.sum_all(ad.mean_axis(d, 0))),
         )
         ad.backward(loss)
     for leaf in (a, b, c, d):
@@ -356,9 +356,6 @@ OP_CASES = [
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
     ("sub", lambda p: ad.sub(p, Tensor(_rand((3, 4), 12))), (3, 4)),
     ("mul", lambda p: ad.mul(p, Tensor(_rand((3, 4), 13))), (3, 4)),
-    ("div", lambda p: ad.div(p, Tensor(np.abs(_rand((3, 4), 14)) + 1.0)), (3, 4)),
-    ("div_denom", lambda p: ad.div(Tensor(_rand((3, 4), 15)), p), (3, 4)),
-    ("neg", ad.neg, (3, 4)),
     ("scale", lambda p: ad.scale(p, -1.7), (3, 4)),
     ("relu", lambda p: ad.relu(p), (3, 4)),
     ("log", lambda p: ad.log(ad.add(ad.mul(p, p), Tensor(np.full((3, 4), 0.5)))), (3, 4)),
@@ -370,7 +367,6 @@ OP_CASES = [
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
     ("slice_axis", lambda p: ad.slice_axis(p, 1, 3, axis=1), (3, 4)),
-    ("sum_axis", lambda p: ad.sum_axis(p, axis=0), (3, 4)),
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1, keepdims=True), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("avgpool", lambda p: ad.avgpool1d_same(p, 3), (3, 5)),

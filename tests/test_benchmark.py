@@ -1,0 +1,28 @@
+"""The benchmark contract: a short traced perfbench run finds every name it
+patches and calls in `mlcgcn`, and passes all of its correctness checks."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_cv_small_benchmark_passes_its_checks(tmp_path):
+    # perfbench writes its outputs next to its own checkout, so run a copy of
+    # the checkout under tmp_path.
+    ignore = shutil.ignore_patterns("__pycache__")
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cv-small",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    detail = proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.returncode == 0, detail
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, detail
+    assert result["attempted"] > 0

@@ -200,11 +200,19 @@ def test_train_levels_flag_controls_depth(dataset_dir, tmp_path):
     out = tmp_path / "k1"
     rc = main([
         "train", "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(out), "--levels", "1", *TRAIN_ARGS,
+        "--out", str(out), *TRAIN_ARGS, "--set", "model.levels=1",
     ])
     assert rc == 0
     ckpt = json.loads((out / "fold0.ckpt").read_text())
     assert ckpt["config"]["levels"] == 1
+
+
+def test_train_ablate_flag_removed(dataset_dir, tmp_path):
+    rc = main([
+        "train", "--manifest", str(dataset_dir / "manifest.json"),
+        "--out", str(tmp_path / "abl"), "--ablate", "no-sfe",
+    ])
+    assert rc == 2
 
 
 def test_train_conflicting_geometry_rejected(dataset_dir, tmp_path, capsys):
@@ -334,6 +342,25 @@ def test_export_mean_graph_round_trips(dataset_dir, trained_dir, tmp_path):
     mat = load_connectome(out / "mean_graph.csv")
     assert mat.shape == (8, 8)
     np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-12)
+
+
+EXPORT_ARGS = ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
+               "--out", "{tmp}/exp"]
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["train", "--manifest", "{manifest}", "--out", "{tmp}/tr", "--config", "{tmp}/missing.cfg"],
+     "cannot read config file"),
+    ([*EXPORT_ARGS, "--what", "mean-graph", "--level", "foo"], "level selector"),
+    ([*EXPORT_ARGS, "--what", "node-importance", "--top", "-1"], "--top must be >= 1"),
+    ([*EXPORT_ARGS, "--what", "node-importance", "--top", "0"], "--top must be >= 1"),
+], ids=["missing-config", "export-level-foo", "export-top-negative", "export-top-zero"])
+def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, argv, cause):
+    paths = {"manifest": dataset_dir / "manifest.json", "ckpt": trained_dir / "fold0.ckpt",
+             "tmp": tmp_path}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -167,7 +167,6 @@ def test_write_dataset_refuses_nonempty_dir(tmp_path):
 def _outputs_with(adjacencies, pearson=None):
     n = adjacencies[0].shape[0]
     return LevelOutputs(
-        features=[],
         adjacencies=[Tensor(a) for a in adjacencies],
         pearson=Tensor(pearson if pearson is not None else np.eye(n)),
         embeddings=[],

@@ -490,6 +490,21 @@ def test_checkpoint_config_key_mismatch_names_the_keys(tmp_path):
     assert "unknown keys ['gcn_layers']" in str(err.value)
 
 
+@pytest.mark.parametrize("damage", ["missing", "truncated", "format-only"])
+def test_checkpoint_unreadable_file_names_the_path(tmp_path, damage):
+    path = tmp_path / "model.ckpt"
+    if damage != "missing":
+        MLCGCN(tiny_config(), rng=derive_rng(23, "init")).save(path)
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        else:
+            path.write_text(json.dumps({"format": json.loads(text)["format"]}))
+    with pytest.raises(ConfigError) as err:
+        MLCGCN.load(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_rejects_block_shape_that_does_not_fit_config(tmp_path):
     model = MLCGCN(tiny_config(), rng=derive_rng(21, "init"))
     path = tmp_path / "model.ckpt"
