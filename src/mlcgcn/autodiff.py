@@ -248,15 +248,40 @@ def matmul(a, b):
     return out
 
 
+def bmm(a, b):
+    """Stacked product [..., p x q] @ [..., q x r] of two per-scan stacks.
+
+    The leading (batch) axes of both operands must be equal; nothing is
+    broadcast. A product with a shared 2-D weight belongs in `matmul`.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    ash, bsh = a.data.shape, b.data.shape
+    if len(ash) < 2 or ash[:-2] != bsh[:-2] or ash[-1:] != bsh[-2:-1]:
+        raise ShapeError(f"bmm expects [..., p x q] @ [..., q x r], got {ash} @ {bsh}")
+    out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
+    if out.requires_grad:
+        ad, bd = a.data, b.data
+
+        def pull(g, acc):
+            if a.requires_grad:
+                acc(a, np.matmul(g, np.swapaxes(bd, -1, -2)))
+            if b.requires_grad:
+                acc(b, np.matmul(np.swapaxes(ad, -1, -2), g))
+
+        _record(out, (a, b), pull)
+    return out
+
+
 def transpose(x):
+    """Swap the last two axes; leading axes are batch axes."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.data.shape}")
-    out = Tensor(x.data.T.copy(), x.requires_grad)
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose expects at least 2 axes, got shape {x.data.shape}")
+    out = Tensor(np.ascontiguousarray(np.swapaxes(x.data, -1, -2)), x.requires_grad)
     if out.requires_grad:
 
         def pull(g, acc):
-            acc(x, g.T)
+            acc(x, np.swapaxes(g, -1, -2))
 
         _record(out, (x,), pull)
     return out
@@ -317,7 +342,7 @@ def slice_axis(x, start, stop, axis=1):
 
 
 def stack_rows(rows):
-    """Stack 1-D tensors of equal length into a [N x d] matrix."""
+    """Stack N tensors of equal shape along a new leading axis of length N."""
     rows = [_as_tensor(r) for r in rows]
     if not rows:
         raise ContractError("stack_rows of an empty sequence")
@@ -425,15 +450,14 @@ def layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
 
 
 def conv1d_same(x, kernels, bias):
-    """Convolve each row of x [n x L] with each kernel [m x t], zero padded.
+    """Convolve each row of x [..., n x L] with each kernel [m x t], zero padded.
 
-    Output is [n x m x L]; stride 1, odd t only, so the length stays L.
+    Output is [..., n x m x L]; stride 1, odd t only, so the length stays L.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if x.data.ndim != 2:
-        raise ShapeError(f"conv1d_same expects a 2-D input, got shape {x.data.shape}")
-    n, L = x.data.shape
-    if n == 0 or L == 0:
+    if x.data.ndim < 2:
+        raise ShapeError(f"conv1d_same expects an [..., n x L] input, got shape {x.data.shape}")
+    if x.data.size == 0:
         raise ShapeError("conv1d_same on an empty series")
     if kernels.data.ndim != 2:
         raise ShapeError(f"kernels must be [m x t], got shape {kernels.data.shape}")
@@ -442,25 +466,29 @@ def conv1d_same(x, kernels, bias):
         raise ConfigError(f"conv1d_same kernel size must be odd, got t={t}")
     if bias.data.shape != (m,):
         raise ShapeError(f"bias must have shape ({m},), got {bias.data.shape}")
+    L = x.data.shape[-1]
     pad = (t - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    win = sliding_window_view(xp, t, axis=1)  # [n, L, t]
-    out_data = np.einsum("nlt,mt->nml", win, kernels.data) + bias.data[None, :, None]
+    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)])
+    win = sliding_window_view(xp, t, axis=-1)  # [..., n, L, t]
+    # One BLAS product per row, [m x t] @ [t x L], written in output order.
+    out_data = np.matmul(kernels.data, np.swapaxes(win, -1, -2))
+    out_data += bias.data[:, None]
     out = Tensor(out_data, x.requires_grad or kernels.requires_grad or bias.requires_grad)
     if out.requires_grad:
         kd = kernels.data
 
         def pull(g, acc):
             if bias.requires_grad:
-                acc(bias, g.sum(axis=(0, 2)))
+                acc(bias, g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
             if kernels.requires_grad:
-                acc(kernels, np.einsum("nml,nlt->mt", g, win))
+                rows = win.reshape(-1, L, t)  # a view: the leading axes merge
+                acc(kernels, np.matmul(g.reshape(-1, m, L), rows).sum(axis=0))
             if x.requires_grad:
-                dwin = np.einsum("nml,mt->nlt", g, kd)
-                dxp = np.zeros_like(xp)
+                dwin = np.matmul(np.swapaxes(g, -1, -2), kd)  # [..., n, L, t]
+                dxp = np.zeros(xp.shape)
                 for off in range(t):
-                    dxp[:, off : off + L] += dwin[:, :, off]
-                acc(x, dxp[:, pad : pad + L])
+                    dxp[..., off : off + L] += dwin[..., off]
+                acc(x, dxp[..., pad : pad + L])
 
         _record(out, (x, kernels, bias), pull)
     return out
@@ -531,27 +559,27 @@ def dropout(x, rate, training, rng=None):
 
 
 def l2_normalize_rows(x):
-    """Scale each row of a 2-D tensor to unit L2 norm.
+    """Scale each row (last axis) of x [..., n x d] to unit L2 norm.
 
     Zero rows are left as zeros (with a warning) rather than dividing by zero.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects 2-D, got shape {x.data.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1))
+    if x.data.ndim < 2:
+        raise ShapeError(f"l2_normalize_rows expects [..., n x d], got shape {x.data.shape}")
+    norms = np.sqrt((x.data * x.data).sum(axis=-1))
     zero = norms < 1e-150
     if zero.any():
         warnings.warn(
             f"l2_normalize_rows: {int(zero.sum())} zero-norm row(s) left as zeros",
             stacklevel=2,
         )
-    safe = np.where(zero, 1.0, norms)
-    y = x.data / safe[:, None]
+    safe = np.where(zero, 1.0, norms)[..., None]
+    y = x.data / safe
     out = Tensor(y, x.requires_grad)
     if out.requires_grad:
 
         def pull(g, acc):
-            d = (g - y * (g * y).sum(axis=1, keepdims=True)) / safe[:, None]
+            d = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
             if zero.any():
                 d[zero] = 0.0
             acc(x, d)

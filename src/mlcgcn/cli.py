@@ -28,6 +28,7 @@ from .data import (
     load_manifest,
     mean_graph,
     node_importance,
+    parse_level_selector,
     write_dataset,
 )
 from .errors import (
@@ -303,9 +304,12 @@ def cmd_gradcheck(args):
 
 
 def cmd_export(args):
+    level = parse_level_selector(args.level)
     if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
     model = MLCGCN.load(args.checkpoint)
+    if isinstance(level, int) and level > model.config.levels:
+        raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
     samples = load_dataset(args.manifest)
     if not samples:
         raise DataError("export needs at least one scan")

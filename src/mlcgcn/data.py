@@ -265,6 +265,25 @@ def _as_matrix(a):
     return arr
 
 
+def parse_level_selector(selector):
+    """A level selector: "all", "pearson", or a 1-based level index (as int).
+
+    The upper bound of an index depends on the model and is checked by the
+    caller.
+    """
+    if selector in ("all", "pearson"):
+        return selector
+    try:
+        level = int(selector)
+    except ValueError:
+        raise ConfigError(
+            f"level selector must be a 1-based index, 'all' or 'pearson', got {selector!r}"
+        ) from None
+    if level < 1:
+        raise ConfigError(f"level selector {level} must be >= 1")
+    return level
+
+
 def mean_graph(level_outputs, selector="all"):
     """Elementwise mean of selected adjacency matrices across samples.
 
@@ -274,6 +293,7 @@ def mean_graph(level_outputs, selector="all"):
     outputs = list(level_outputs)
     if not outputs:
         raise ContractError("mean_graph of an empty collection")
+    selector = parse_level_selector(selector)
     mats = []
     for out in outputs:
         if selector == "pearson":
@@ -281,18 +301,11 @@ def mean_graph(level_outputs, selector="all"):
         elif selector == "all":
             mats.extend(_as_matrix(a) for a in out.adjacencies)
         else:
-            try:
-                level = int(selector)
-            except ValueError:
+            if selector > len(out.adjacencies):
                 raise ConfigError(
-                    f"level selector must be a 1-based index, 'all' or 'pearson', "
-                    f"got {selector!r}"
-                ) from None
-            if not 1 <= level <= len(out.adjacencies):
-                raise ConfigError(
-                    f"level selector {level} outside [1, {len(out.adjacencies)}]"
+                    f"level selector {selector} outside [1, {len(out.adjacencies)}]"
                 )
-            mats.append(_as_matrix(out.adjacencies[level - 1]))
+            mats.append(_as_matrix(out.adjacencies[selector - 1]))
     return np.mean(mats, axis=0)
 
 

@@ -60,34 +60,35 @@ def group_loss(adjacencies, labels, levels):
     """Mean squared Frobenius distance of each sample's generated graphs from
     its class's within-batch mean, averaged over levels.
 
-    `adjacencies` is a list (per sample) of lists (per level) of [n x n]
-    tensors. Classes with a single member contribute zero; absent classes are
-    skipped. Always >= 0; zero iff every graph equals its class mean.
+    `adjacencies` is either a list (per level) of [B x n x n] stacks, as a
+    batched `predict` returns them, or a list (per sample) of lists (per
+    level) of [n x n] tensors, which is stacked per level first. Classes with
+    a single member contribute zero. Always >= 0; zero iff every graph equals
+    its class mean, up to rounding (identical graphs can leave ~1e-31).
     """
     if levels < 1:
         raise ContractError(f"levels must be >= 1, got {levels}")
     if len(adjacencies) == 0:
         raise ContractError("group_loss on an empty batch")
+    if not isinstance(adjacencies[0], Tensor):
+        adjacencies = [ad.stack_rows([sample[k] for sample in adjacencies]) for k in range(levels)]
     labels = np.asarray(labels, dtype=int)
-    if len(labels) != len(adjacencies):
+    batch = adjacencies[0].data.shape[0]
+    if len(labels) != batch:
         raise ContractError("one label per sample required")
+
+    # Row u of `mean_of` averages the graphs of sample u's class; a lone
+    # sample's row picks out its own graph, so its difference is exactly 0.
+    same = labels[:, None] == labels[None, :]
+    size = same.sum(axis=1)
+    mean_of, weight = Tensor(same / size[:, None]), Tensor((1.0 / size)[:, None])
 
     total = None
     for level in range(levels):
-        for cls in np.unique(labels):
-            members = [adjacencies[u][level] for u in np.flatnonzero(labels == cls)]
-            if len(members) < 2:
-                continue  # a lone sample equals its own mean
-            mean = members[0]
-            for m in members[1:]:
-                mean = ad.add(mean, m)
-            mean = ad.scale(mean, 1.0 / len(members))
-            for m in members:
-                diff = ad.sub(m, mean)
-                term = ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / len(members))
-                total = term if total is None else ad.add(total, term)
-    if total is None:
-        return Tensor(0.0)
+        stack = ad.reshape(adjacencies[level], (batch, -1))
+        diff = ad.sub(stack, ad.matmul(mean_of, stack))
+        term = ad.sum_all(ad.mul(ad.mul(diff, diff), weight))
+        total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / levels)
 
 

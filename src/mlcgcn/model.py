@@ -22,6 +22,19 @@ from .errors import ConfigError, ForwardError, ShapeError
 CHECKPOINT_FORMAT = "mlcgcn-checkpoint-v1"
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What JSON value each ModelConfig field type accepts in a checkpoint.
+_JSON_CONFIG_TYPES = {
+    int: _is_int,
+    float: lambda v: _is_int(v) or isinstance(v, float),
+    bool: lambda v: isinstance(v, bool),
+    Optional[tuple]: lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters. Defaults follow the reference setup."""
@@ -84,11 +97,12 @@ class ModelConfig:
 
 @dataclass
 class LevelOutputs:
-    """Per-level artifacts of one forward pass."""
+    """Per-level artifacts of one forward pass; the leading axis B of every
+    tensor is present only when `predict` was given a batch."""
 
-    adjacencies: list  # K tensors [n x n]
-    pearson: Tensor  # [n x n]
-    embeddings: list  # one [e] vector per encoded graph level
+    adjacencies: list  # K tensors [B x n x n]
+    pearson: Tensor  # [B x n x n]
+    embeddings: list  # one [B x e] tensor per encoded graph level
 
 
 def positional_encoding(n_tokens, dim):
@@ -179,20 +193,23 @@ def init_params(cfg: ModelConfig, rng) -> dict:
 
 # ---------------------------------------------------------------------------
 # forward operations
+#
+# Every function below takes per-scan tensors with optional leading batch
+# axes, [..., n x L] or [..., n x l]; shape checks compare the last two axes.
 
 
 def pearson_connectome(x) -> Tensor:
-    """Pearson correlation matrix of the rows of x [n x L].
+    """Pearson correlation matrix of the rows of x [..., n x L].
 
     The result is a constant (never differentiated): symmetric with a unit
     diagonal. Zero-variance rows get zero off-diagonal entries and a warning.
     """
     data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeError(f"pearson_connectome expects [n x L], got shape {data.shape}")
-    n = data.shape[0]
-    centered = data - data.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
+    if data.ndim < 2:
+        raise ShapeError(f"pearson_connectome expects [..., n x L], got shape {data.shape}")
+    n = data.shape[-2]
+    centered = data - data.mean(axis=-1, keepdims=True)
+    norms = np.sqrt((centered * centered).sum(axis=-1))
     degenerate = norms < 1e-150
     if degenerate.any():
         warnings.warn(
@@ -200,13 +217,11 @@ def pearson_connectome(x) -> Tensor:
             "their correlations are set to 0",
             stacklevel=2,
         )
-    safe = np.where(degenerate, 1.0, norms)
-    unit = centered / safe[:, None]
-    f = unit @ unit.T
-    f = (f + f.T) / 2.0
-    f[degenerate, :] = 0.0
-    f[:, degenerate] = 0.0
-    np.fill_diagonal(f, 1.0)
+    unit = centered / np.where(degenerate, 1.0, norms)[..., None]
+    f = unit @ np.swapaxes(unit, -1, -2)
+    f = (f + np.swapaxes(f, -1, -2)) / 2.0
+    f[degenerate[..., :, None] | degenerate[..., None, :]] = 0.0
+    f[..., np.arange(n), np.arange(n)] = 1.0
     return Tensor(np.clip(f, -1.0, 1.0))
 
 
@@ -218,24 +233,30 @@ def generate_adjacency(h_level: Tensor) -> Tensor:
     Zero-norm rows stay zero off-diagonal (warned inside the normalizer).
     """
     h = ad.l2_normalize_rows(h_level)
-    a = ad.matmul(h, ad.transpose(h))
+    a = ad.bmm(h, ad.transpose(h))
     a = ad.scale(ad.add(a, ad.transpose(a)), 0.5)
     a = ad.clamp(a, -1.0, 1.0)
-    n = a.data.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(a.data.shape[-1])
     return ad.add(ad.mul(a, Tensor(1.0 - eye)), Tensor(eye))
 
 
+def _dense(x, w):
+    """x [..., d] @ w [d x e]: the leading axes fold into the rows of one matmul."""
+    out = ad.matmul(ad.reshape(x, (-1, x.data.shape[-1])), w)
+    return ad.reshape(out, (*x.data.shape[:-1], w.data.shape[1]))
+
+
 def embed(x, params, cfg: ModelConfig) -> Tensor:
-    """Per-ROI temporal embedding [n x l]: conv, flatten, project, activate, +PE."""
+    """Per-ROI temporal embedding [..., n x l]: conv, flatten, project, activate, +PE."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.data.shape != (cfg.n_rois, cfg.series_len):
+    if x.data.shape[-2:] != (cfg.n_rois, cfg.series_len):
         raise ShapeError(
             f"input series must be [{cfg.n_rois} x {cfg.series_len}], got {x.data.shape}"
         )
     conv = ad.conv1d_same(x, params["embed.kernels"], params["embed.bias"])
-    flat = ad.reshape(conv, (cfg.n_rois, cfg.conv_kernels * cfg.series_len))
-    z = ad.relu(ad.matmul(flat, params["embed.w"]))
+    lead = x.data.shape[:-2]
+    flat = ad.reshape(conv, (*lead, cfg.n_rois, cfg.conv_kernels * cfg.series_len))
+    z = ad.relu(_dense(flat, params["embed.w"]))
     if cfg.use_positional_encoding:
         z = ad.add(z, positional_encoding(cfg.n_rois, cfg.embed_len))
     return z
@@ -243,31 +264,30 @@ def embed(x, params, cfg: ModelConfig) -> Tensor:
 
 def _mlp2(x, params, prefix):
     """Two-layer perceptron with a ReLU hidden layer."""
-    hidden = ad.relu(ad.add(ad.matmul(x, params[prefix + "w1"]), params[prefix + "b1"]))
-    return ad.add(ad.matmul(hidden, params[prefix + "w2"]), params[prefix + "b2"])
+    hidden = ad.relu(ad.add(_dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
+    return ad.add(_dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
 def _multi_head_attention(x, params, prefix, heads, return_weights=False):
-    """Self-attention over x [tokens x d_model]; d_model must split across heads."""
-    d_model = x.data.shape[1]
+    """Self-attention over x [..., tokens x d_model]; d_model must split across heads.
+
+    Each head's queries, keys and values are one [..., heads x d x tokens]
+    stack, so all heads run through one stacked product per step.
+    """
+    *lead, tokens, d_model = x.data.shape
     d = d_model // heads
-    q = ad.matmul(x, params[prefix + "wq"])
-    k = ad.matmul(x, params[prefix + "wk"])
-    v = ad.matmul(x, params[prefix + "wv"])
-    outs = []
-    weights = []
-    for head in range(heads):
-        lo, hi = head * d, (head + 1) * d
-        qh = ad.slice_axis(q, lo, hi, axis=1)
-        kh = ad.slice_axis(k, lo, hi, axis=1)
-        vh = ad.slice_axis(v, lo, hi, axis=1)
-        attn = ad.softmax_rows(ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(d)))
-        weights.append(attn)
-        outs.append(ad.matmul(attn, vh))
-    merged = ad.concat(outs, axis=1) if heads > 1 else outs[0]
-    out = ad.matmul(merged, params[prefix + "wo"])
+
+    def split(name):  # [..., heads, d, tokens]
+        projected = ad.transpose(_dense(x, params[prefix + name]))
+        return ad.reshape(projected, (*lead, heads, d, tokens))
+
+    q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
+    scores = ad.scale(ad.bmm(ad.transpose(q_t), k_t), 1.0 / np.sqrt(d))
+    attn = ad.softmax_rows(scores)  # [..., heads, tokens, tokens]
+    merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
+    out = _dense(ad.transpose(merged_t), params[prefix + "wo"])
     if return_weights:
-        return out, weights
+        return out, [Tensor(attn.data[..., head, :, :]) for head in range(heads)]
     return out
 
 
@@ -285,8 +305,8 @@ def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None)
     attn = ad.dropout(attn, cfg.dropout_rate, training, rng)
     x = ad.add(x, attn)
     ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    hidden = ad.relu(ad.add(ad.matmul(ffn_in, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
-    ffn = ad.add(ad.matmul(hidden, params[p + "ffn.w2"]), params[p + "ffn.b2"])
+    hidden = ad.relu(ad.add(_dense(ffn_in, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
+    ffn = ad.add(_dense(hidden, params[p + "ffn.w2"]), params[p + "ffn.b2"])
     ffn = ad.dropout(ffn, cfg.dropout_rate, training, rng)
     x = ad.add(x, ffn)
     x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
@@ -304,8 +324,8 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
     trend = ad.avgpool1d_same(h_in, cfg.kernel_size)
     seasonal = ad.sub(h_in, trend)
     mixed = ad.add(
-        ad.relu(ad.matmul(trend, params[p + "wt"])),
-        ad.relu(ad.matmul(seasonal, params[p + "ws"])),
+        ad.relu(_dense(trend, params[p + "wt"])),
+        ad.relu(_dense(seasonal, params[p + "ws"])),
     )
     out = _mlp2(mixed, params, p + "mlp.")
     return ad.layer_norm(out, params[p + "norm.gain"], params[p + "norm.shift"])
@@ -331,18 +351,18 @@ def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
     features start from the Pearson matrix.
     """
     n = cfg.n_rois
-    if adj.data.shape != (n, n):
+    if adj.data.shape[-2:] != (n, n):
         raise ShapeError(f"adjacency must be [{n} x {n}], got {adj.data.shape}")
     a_hat = ad.add(adj, Tensor(np.eye(n)))
-    h = ad.relu(ad.matmul(ad.matmul(a_hat, node_feats), params[f"gcn{level}.w0"]))
-    h = ad.relu(ad.matmul(ad.matmul(a_hat, h), params[f"gcn{level}.w1"]))
+    h = ad.relu(_dense(ad.bmm(a_hat, node_feats), params[f"gcn{level}.w0"]))
+    h = ad.relu(_dense(ad.bmm(a_hat, h), params[f"gcn{level}.w1"]))
     return h
 
 
 def readout(gcn_out, params, cfg: ModelConfig, level):
-    """Mean-pool node encodings into one [1 x e] row per level."""
-    pooled = ad.mean_axis(gcn_out, axis=0, keepdims=True)
-    return ad.relu(ad.add(ad.matmul(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
+    """Mean-pool node encodings into one [..., 1 x e] row per level."""
+    pooled = ad.mean_axis(gcn_out, axis=-2, keepdims=True)
+    return ad.relu(ad.add(_dense(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
 
 
 def _check_finite(tensor, what):
@@ -351,13 +371,19 @@ def _check_finite(tensor, what):
 
 
 def predict(x, params, cfg: ModelConfig, training=False, rng=None):
-    """Full forward pass for one scan [n x L].
+    """Full forward pass for a batch of scans [B x n x L] or one scan [n x L].
 
-    Returns (class probabilities [c], LevelOutputs). The generated graphs of
-    all K levels are produced regardless of the encoded subset so losses and
-    exports can see them.
+    Returns (class probabilities [B x c], LevelOutputs). One scan runs as a
+    batch of one whose batch axis is dropped again on the way out: the
+    probabilities are [c] and every LevelOutputs tensor loses its leading B.
+    The generated graphs of all K levels are produced regardless of the
+    encoded subset so losses and exports can see them.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
+    single = x.data.ndim == 2
+    if single:
+        x = ad.reshape(x, (1, *x.data.shape))
+    batch = x.data.shape[0]
     pearson = pearson_connectome(x)
     z = embed(x, params, cfg)
     _check_finite(z, "embedding")
@@ -377,19 +403,20 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
         encoded = gcn_forward(graph, pearson, params, cfg, k)
         embeddings.append(readout(encoded, params, cfg, k))
 
-    stacked = ad.concat(embeddings, axis=1)
+    stacked = ad.reshape(ad.concat(embeddings, axis=-1), (batch, -1))
     hidden = ad.relu(ad.add(ad.matmul(stacked, params["head.w1"]), params["head.b1"]))
     hidden = ad.dropout(hidden, cfg.dropout_rate, training, rng)
     logits = ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
-    probs = ad.reshape(ad.softmax_rows(logits), (cfg.classes,))
+    probs = ad.softmax_rows(logits)
     _check_finite(probs, "class probabilities")
 
-    outputs = LevelOutputs(
-        adjacencies=adjacencies,
-        pearson=pearson,
-        embeddings=[ad.reshape(e, (cfg.readout_dim,)) for e in embeddings],
-    )
-    return probs, outputs
+    lead = () if single else (batch,)
+    embeddings = [ad.reshape(e, (*lead, cfg.readout_dim)) for e in embeddings]
+    if single:  # drop the batch axis of one again
+        probs = ad.reshape(probs, (cfg.classes,))
+        adjacencies = [ad.reshape(a, a.data.shape[1:]) for a in adjacencies]
+        pearson = Tensor(pearson.data[0])
+    return probs, LevelOutputs(adjacencies, pearson, embeddings)
 
 
 class MLCGCN:
@@ -443,10 +470,23 @@ class MLCGCN:
                 f"checkpoint config in {path} does not fit ModelConfig: "
                 f"missing keys {missing}, unknown keys {unknown}"
             )
+        for f in fields(ModelConfig):
+            value = doc["config"][f.name]
+            if not _JSON_CONFIG_TYPES[f.type](value):
+                raise ConfigError(
+                    f"checkpoint config key {f.name!r} in {path} has a value of the wrong type: "
+                    f"{value!r}"
+                )
         cfg = ModelConfig(**doc["config"])
         params = {}
         for name, entry in doc["params"].items():
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            try:
+                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"checkpoint block {name!r} in {path} needs a 'shape' and 'data' "
+                    f"that fits it: {exc!r}"
+                ) from exc
             params[name] = Tensor(arr, requires_grad=True)
         expected = init_params(cfg, np.random.default_rng(0))
         if params.keys() != expected.keys():

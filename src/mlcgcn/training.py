@@ -22,6 +22,10 @@ from .seeding import derive_rng, derive_seed
 
 log = logging.getLogger("mlcgcn")
 
+# Scans per tape-free forward in evaluation: bounds the memory of `mlcgcn
+# eval` and of the ablation diagnostic on large datasets.
+EVAL_BATCH = 16
+
 
 @dataclass
 class TrainConfig:
@@ -132,19 +136,15 @@ def class_balanced_batches(labels, batch_size, rng):
 def batch_loss(model: MLCGCN, series, targets: BatchTargets, alpha, training=False, rng=None):
     """Composite objective of one batch; returns (ce, group, total) tensors.
 
-    Forward every scan, stack the probability rows into one cross entropy,
-    and add alpha times the group penalty over the generated graphs. The
-    group term is skipped entirely when alpha is 0 (reported as 0).
+    One forward over the stacked scans [B x n x L] gives the probability rows
+    for the cross entropy and the per-level graph stacks for alpha times the
+    group penalty. The group term is skipped entirely when alpha is 0
+    (reported as 0).
     """
-    prob_rows = []
-    graphs = []
-    for s in series:
-        probs, levels = model.predict(Tensor(s), training=training, rng=rng)
-        prob_rows.append(probs)
-        graphs.append(levels.adjacencies)
-    ce = cross_entropy(ad.stack_rows(prob_rows), targets)
+    probs, levels = model.predict(np.stack(series), training=training, rng=rng)
+    ce = cross_entropy(probs, targets)
     if alpha > 0:
-        grp = group_loss(graphs, targets.dominant, model.config.levels)
+        grp = group_loss(levels.adjacencies, targets.dominant, model.config.levels)
     else:
         grp = Tensor(0.0)
     return ce, grp, total_loss(ce, grp, alpha)
@@ -181,9 +181,15 @@ def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
     return {"ce": means[0], "group": means[1], "total": means[2]}
 
 
+def _forward_slices(model: MLCGCN, samples):
+    """Tape-free batched forward over the samples, EVAL_BATCH scans at a time."""
+    for lo in range(0, len(samples), EVAL_BATCH):
+        yield model.predict(np.stack([s.series for s in samples[lo : lo + EVAL_BATCH]]))
+
+
 def evaluate_model(model: MLCGCN, samples):
     """Inference probabilities [N x c] and truth labels for a sample list."""
-    probs = np.stack([model.predict(Tensor(s.series))[0].data for s in samples])
+    probs = np.concatenate([p.data for p, _ in _forward_slices(model, samples)])
     truth = np.array([s.label for s in samples], dtype=int)
     return probs, truth
 
@@ -191,7 +197,8 @@ def evaluate_model(model: MLCGCN, samples):
 def intra_group_dissimilarity(model: MLCGCN, samples):
     """The group loss over the whole sample list, taken as a diagnostic
     regardless of the training alpha (no tape, so no gradients)."""
-    graphs = [model.predict(Tensor(s.series))[1].adjacencies for s in samples]
+    slices = [levels.adjacencies for _, levels in _forward_slices(model, samples)]
+    graphs = [Tensor(np.concatenate([s[k].data for s in slices])) for k in range(model.config.levels)]
     return float(group_loss(graphs, [s.label for s in samples], model.config.levels).data)
 
 

@@ -363,7 +363,10 @@ OP_CASES = [
     ("clamp_min", lambda p: ad.clamp_min(p, 0.1), (3, 4)),
     ("matmul_left", lambda p: ad.matmul(p, Tensor(_rand((4, 2), 16))), (3, 4)),
     ("matmul_right", lambda p: ad.matmul(Tensor(_rand((2, 3), 17)), p), (3, 4)),
+    ("bmm_left", lambda p: ad.bmm(p, Tensor(_rand((2, 4, 3), 23))), (2, 3, 4)),
+    ("bmm_right", lambda p: ad.bmm(Tensor(_rand((2, 2, 3), 24)), p), (2, 3, 4)),
     ("transpose", ad.transpose, (3, 4)),
+    ("transpose_3d", ad.transpose, (2, 3, 4)),
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
     ("slice_axis", lambda p: ad.slice_axis(p, 1, 3, axis=1), (3, 4)),
@@ -375,7 +378,13 @@ OP_CASES = [
         lambda p: ad.conv1d_same(p, Tensor(_rand((2, 3), 19)), Tensor(_rand(2, 20))),
         (2, 6),
     ),
+    (
+        "conv_input_3d",
+        lambda p: ad.conv1d_same(p, Tensor(_rand((2, 3), 19)), Tensor(_rand(2, 20))),
+        (2, 2, 6),
+    ),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4)),
+    ("l2_normalize_3d", ad.l2_normalize_rows, (2, 3, 4)),
     (
         "layer_norm_x",
         lambda p: ad.layer_norm(p, Tensor(_rand(4, 21)), Tensor(_rand(4, 22))),
@@ -396,6 +405,11 @@ def test_op_adjoint_matches_finite_differences(name, op, shape):
         return ad.sum_all(ad.mul(out, out))
 
     assert ad.finite_diff_check(f, p, eps=1e-4) < 1e-4
+
+
+def test_bmm_rejects_unequal_batch_axes():
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+        ad.bmm(tensor(np.ones((2, 3, 4))), tensor(np.ones((3, 4, 2))))
 
 
 def test_stack_rows_gradient():

@@ -7,17 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_cv_small_benchmark_passes_its_checks(tmp_path):
+def run_traced(tmp_path, workload):
     # perfbench writes its outputs next to its own checkout, so run a copy of
     # the checkout under tmp_path.
     ignore = shutil.ignore_patterns("__pycache__")
     for part in ("perfbench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "cv-small",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
@@ -26,3 +28,15 @@ def test_traced_cv_small_benchmark_passes_its_checks(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, detail
     assert result["attempted"] > 0
+
+
+def test_traced_cv_small_benchmark_passes_its_checks(tmp_path):
+    run_traced(tmp_path, "cv-small")
+
+
+# eval-paper checks the one-scan predict contract (exact unit diagonal,
+# symmetric graphs); train-paper runs the batched paper-shape step through
+# the tracer's 2-D matmul counter.
+@pytest.mark.parametrize("workload", ["eval-paper", "train-paper"])
+def test_traced_paper_benchmark_passes_its_checks(tmp_path, workload):
+    run_traced(tmp_path, workload)

@@ -363,6 +363,25 @@ def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, cap
     assert cause in capsys.readouterr().err
 
 
+def test_export_level_checked_before_checkpoint(dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "no-such.ckpt"
+    rc = main(["export", "--checkpoint", str(missing),
+               "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "exp"),
+               "--what", "mean-graph", "--level", "foo"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'foo'" in err and str(missing) not in err
+
+
+def test_export_level_above_model_depth_refused_before_data(trained_dir, tmp_path, capsys):
+    # The manifest does not exist: the depth check must come first.
+    rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(tmp_path / "no-such.json"), "--out", str(tmp_path / "exp"),
+               "--what", "mean-graph", "--level", "3"])
+    assert rc == 2
+    assert "level selector 3 outside [1, 2]" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def wide_trained(tmp_path_factory):
     """A 20-ROI dataset plus a briefly trained checkpoint, for export defaults."""

@@ -114,6 +114,28 @@ def test_group_loss_nonnegative(seed, batch):
     assert group_loss(graphs, labels, levels=2).item() >= 0.0
 
 
+def test_group_loss_per_level_stacks_match_per_sample_lists():
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(2, 5, 3, 3))  # [levels, samples, n, n]
+    labels = [0, 1, 0, 0, 1]
+
+    def value_and_grads(per_level):
+        leaves = [Tensor(d, requires_grad=True) for d in data]
+        with ad.recording():
+            graphs = leaves
+            if not per_level:
+                graphs = [[ad.reshape(ad.slice_axis(leaf, u, u + 1, axis=0), (3, 3))
+                           for leaf in leaves] for u in range(5)]
+            loss = group_loss(graphs, labels, levels=2)
+            ad.backward(loss)
+        return loss.item(), [leaf.grad for leaf in leaves]
+
+    (v_stack, g_stack), (v_list, g_list) = value_and_grads(True), value_and_grads(False)
+    assert v_stack == pytest.approx(v_list, rel=1e-12, abs=0)
+    for a, b in zip(g_stack, g_list):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # total loss
 

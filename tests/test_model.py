@@ -416,6 +416,23 @@ def test_predict_level_subset_reduces_embeddings(x):
     assert len(levels.adjacencies) == cfg.levels  # graphs still produced at all levels
 
 
+def test_batched_predict_matches_single_scan_calls(cfg, params):
+    series = derive_rng(0, "test-batch").normal(size=(5, cfg.n_rois, cfg.series_len))
+    probs, levels = predict(Tensor(series), params, cfg)
+    assert probs.data.shape == (5, cfg.classes)
+    assert levels.pearson.data.shape == (5, cfg.n_rois, cfg.n_rois)
+    assert all(a.data.shape == (5, cfg.n_rois, cfg.n_rois) for a in levels.adjacencies)
+    assert all(e.data.shape == (5, cfg.readout_dim) for e in levels.embeddings)
+    for b, scan in enumerate(series):
+        p1, one = predict(Tensor(scan), params, cfg)
+        np.testing.assert_allclose(probs.data[b], p1.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(levels.pearson.data[b], one.pearson.data, rtol=0, atol=1e-12)
+        for stacked, single in zip(levels.adjacencies, one.adjacencies):
+            np.testing.assert_allclose(stacked.data[b], single.data, rtol=0, atol=1e-12)
+        for stacked, single in zip(levels.embeddings, one.embeddings):
+            np.testing.assert_allclose(stacked.data[b], single.data, rtol=0, atol=1e-12)
+
+
 def test_full_model_gradient_sample(cfg, params, x):
     """End-to-end finite-difference spot check on two parameter blocks."""
     target = Tensor(np.array([1.0, 0.0, 0.0]))
@@ -490,19 +507,43 @@ def test_checkpoint_config_key_mismatch_names_the_keys(tmp_path):
     assert "unknown keys ['gcn_layers']" in str(err.value)
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "format-only"])
+def _drop_data(doc):
+    del doc["params"]["embed.bias"]["data"]
+    return "embed.bias"
+
+
+def _short_data(doc):
+    doc["params"]["embed.bias"]["data"].pop()
+    return "embed.bias"
+
+
+def _levels_as_text(doc):
+    doc["config"]["levels"] = "two"
+    return "levels"
+
+
+@pytest.mark.parametrize("damage", [
+    "missing", "truncated", "format-only", _drop_data, _short_data, _levels_as_text,
+], ids=["missing", "truncated", "format-only", "no-data", "data-misfits-shape", "levels-text"])
 def test_checkpoint_unreadable_file_names_the_path(tmp_path, damage):
     path = tmp_path / "model.ckpt"
+    key = ""
     if damage != "missing":
         MLCGCN(tiny_config(), rng=derive_rng(23, "init")).save(path)
         text = path.read_text()
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
-        else:
+        elif damage == "format-only":
             path.write_text(json.dumps({"format": json.loads(text)["format"]}))
+        else:
+            doc = json.loads(text)
+            key = damage(doc)
+            path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as err:
         MLCGCN.load(path)
     assert str(path) in str(err.value)
+    if key:
+        assert repr(key) in str(err.value)
 
 
 def test_checkpoint_rejects_block_shape_that_does_not_fit_config(tmp_path):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcgcn import autodiff as ad
+from mlcgcn import model as model_module
 from mlcgcn import training
 from mlcgcn.autodiff import Tensor
 from mlcgcn.data import SyntheticSpec, generate_synthetic
 from mlcgcn.errors import TrainingError
 from mlcgcn.losses import BatchTargets
-from mlcgcn.model import MLCGCN, ModelConfig
+from mlcgcn.model import MLCGCN, ModelConfig, predict
 from mlcgcn.seeding import derive_rng
 from mlcgcn.training import (
     OptimizerState,
@@ -266,6 +268,33 @@ def test_group_loss_trajectory_decreases_with_alpha_one():
         for epoch in range(1, tcfg.epochs + 1)
     ]
     assert history[-1] < history[0]
+
+
+def test_batch_loss_gradient_is_mean_of_single_scan_gradients(monkeypatch):
+    samples = small_dataset(per_class=3)
+    model = MLCGCN(small_model_config(), rng=derive_rng(13, "init"))
+    series = [s.series for s in samples]
+    targets = BatchTargets.from_labels([s.label for s in samples], 2)
+    shapes = []
+
+    def recording_predict(x, *args, **kwargs):
+        shapes.append(np.shape(x.data if isinstance(x, Tensor) else x))
+        return predict(x, *args, **kwargs)
+
+    def grads(batch, rows):
+        ad.zero_grads(model.params)
+        with ad.recording():
+            ad.backward(training.batch_loss(model, batch, BatchTargets(rows), 0.0)[2])
+        return {name: p.grad for name, p in model.params.items()}
+
+    monkeypatch.setattr(model_module, "predict", recording_predict)
+    batched = grads(series, targets.probs)
+    assert shapes == [(len(series), 8, 30)]  # one forward over the stacked batch
+    singles = [grads([s], targets.probs[i : i + 1]) for i, s in enumerate(series)]
+    for name, g in batched.items():
+        want = np.mean([single[name] for single in singles], axis=0)
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=name)
 
 
 def test_evaluate_model_shapes():
