@@ -42,10 +42,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -58,20 +54,14 @@ class Tape:
     """Ordered record of executed operations, replayable in reverse.
 
     Each record holds (output, inputs, pull) where `pull(grad_out, acc)`
-    pushes gradient contributions to the inputs. Clearing the tape drops all
-    recorded intermediates.
+    pushes gradient contributions to the inputs. The records keep every
+    intermediate alive until the tape itself is dropped.
     """
 
     __slots__ = ("records",)
 
     def __init__(self):
         self.records = []
-
-    def __len__(self):
-        return len(self.records)
-
-    def clear(self):
-        self.records.clear()
 
 
 def active_tape():
@@ -320,24 +310,6 @@ def concat(tensors, axis=0):
                     acc(t, g[tuple(idx)])
 
         _record(out, tuple(tensors), pull)
-    return out
-
-
-def slice_axis(x, start, stop, axis=1):
-    x = _as_tensor(x)
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    out = Tensor(x.data[tuple(idx)].copy(), x.requires_grad)
-    if out.requires_grad:
-        shape = x.data.shape
-        sel = tuple(idx)
-
-        def pull(g, acc):
-            gx = np.zeros(shape)
-            gx[sel] = g
-            acc(x, gx)
-
-        _record(out, (x,), pull)
     return out
 
 

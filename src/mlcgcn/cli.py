@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .autodiff import Tensor
 from .data import (
     DatasetManifest,
     SyntheticSpec,
@@ -47,6 +46,7 @@ from .training import (
     TrainConfig,
     ablation_table,
     evaluate_model,
+    forward_slices,
     gradcheck_config,
     run_ablation,
     run_cv,
@@ -133,14 +133,20 @@ def _out_dir(args):
     return path
 
 
-def write_snapshot(outdir, subcommand, typed, run_extras=None):
-    """Persist every resolved key so the run can be reproduced from the file."""
+def write_snapshot(outdir, subcommand, run_extras, configs=None):
+    """Write resolved.cfg: `run.*` bookkeeping lines, then every field of each
+    config object in `configs` (scope -> dataclass) as a `scope.field` key, so
+    `--config resolved.cfg` reproduces the run."""
     lines = [f"run.subcommand = {subcommand}"]
-    for key, value in (run_extras or {}).items():
+    for key, value in run_extras.items():
         lines.append(f"run.{key} = {value}")
-    for key in sorted(typed):
-        value = typed[key]
-        if isinstance(value, tuple):
+    keys = {f"{scope}.{f.name}": getattr(cfg, f.name)
+            for scope, cfg in (configs or {}).items() for f in dataclasses.fields(cfg)}
+    for key in sorted(keys):
+        value = keys[key]
+        if value is None:  # an unset level_subset: every level
+            value = "all"
+        elif isinstance(value, tuple):
             value = "+".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     (Path(outdir) / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -175,8 +181,7 @@ def cmd_synth(args):
         classes=spec.class_names(), n_rois=spec.n_rois, series_len=spec.series_len
     )
     manifest_path = write_dataset(samples, truth, manifest, outdir, force=args.force)
-    typed.update({f"synth.{f.name}": getattr(spec, f.name) for f in dataclasses.fields(spec)})
-    write_snapshot(outdir, "synth", typed)
+    write_snapshot(outdir, "synth", {}, {"synth": spec})
     per_class = {name: sum(1 for s in samples if spec.class_names()[s.label] == name)
                  for name in spec.class_names()}
     print(f"wrote {len(samples)} scans to {manifest_path}")
@@ -185,24 +190,21 @@ def cmd_synth(args):
     return 0
 
 
-def _build_configs(args, manifest):
-    typed = resolve_config(args)
-    typed = _fill_model_defaults(typed, manifest)
+def _cv_setup(args):
+    """Set-up shared by train and ablate: the dataset, the model and train
+    configs, and the output directory with its snapshot."""
+    samples = load_dataset(args.manifest)
+    typed = _fill_model_defaults(resolve_config(args), load_manifest(args.manifest))
     model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
-    return typed, model_cfg, train_cfg
+    outdir = _out_dir(args)
+    write_snapshot(outdir, args.subcommand, {"manifest": args.manifest},
+                   {"model": model_cfg, "train": train_cfg})
+    return samples, model_cfg, train_cfg, outdir
 
 
 def cmd_train(args):
-    samples = load_dataset(args.manifest)
-    manifest = load_manifest(args.manifest)
-    typed, model_cfg, train_cfg = _build_configs(args, manifest)
-    outdir = _out_dir(args)
-    typed.update({f"model.{f.name}": getattr(model_cfg, f.name) for f in dataclasses.fields(model_cfg)})
-    typed.update({f"train.{f.name}": getattr(train_cfg, f.name) for f in dataclasses.fields(train_cfg)})
-    typed["model.level_subset"] = model_cfg.level_subset or "all"
-    write_snapshot(outdir, "train", typed, {"manifest": args.manifest})
-
+    samples, model_cfg, train_cfg, outdir = _cv_setup(args)
     result = run_cv(samples, model_cfg, train_cfg)
     for fold, model in enumerate(result.models):
         model.save(outdir / f"fold{fold}.ckpt")
@@ -233,7 +235,7 @@ def cmd_eval(args):
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
     outdir = _out_dir(args)
-    write_snapshot(outdir, "eval", {}, {"manifest": args.manifest, "checkpoint": args.checkpoint})
+    write_snapshot(outdir, "eval", {"manifest": args.manifest, "checkpoint": args.checkpoint})
     lines = [f"{name} = {100.0 * value:.2f}" for name, value in
              zip(("Acc", "AUC", "Spe", "Sen", "F1"), report.values())]
     text = "\n".join(lines) + "\n"
@@ -243,11 +245,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    samples = load_dataset(args.manifest)
-    manifest = load_manifest(args.manifest)
-    typed, model_cfg, train_cfg = _build_configs(args, manifest)
-    outdir = _out_dir(args)
-    write_snapshot(outdir, "ablate", typed, {"manifest": args.manifest})
+    samples, model_cfg, train_cfg, outdir = _cv_setup(args)
     variants = TABLE_VARIANTS
     if args.variant:
         variants = []
@@ -286,7 +284,7 @@ def cmd_gradcheck(args):
     results = run_gradcheck(cfg, args.tolerance, seed=args.seed)
     elapsed = time.perf_counter() - t0
     outdir = _out_dir(args)
-    write_snapshot(outdir, "gradcheck", {}, {"tolerance": args.tolerance, "seed": args.seed})
+    write_snapshot(outdir, "gradcheck", {"tolerance": args.tolerance, "seed": args.seed})
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, err, ok in results:
@@ -311,15 +309,12 @@ def cmd_export(args):
     if isinstance(level, int) and level > model.config.levels:
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
     samples = load_dataset(args.manifest)
-    if not samples:
-        raise DataError("export needs at least one scan")
-    outputs = [model.predict(Tensor(s.series))[1] for s in samples]
+    mean = mean_graph((levels for _, levels in forward_slices(model, samples)), level)
     outdir = _out_dir(args)
-    write_snapshot(outdir, "export", {}, {
+    write_snapshot(outdir, "export", {
         "manifest": args.manifest, "checkpoint": args.checkpoint,
         "what": args.what, "level": args.level,
     })
-    mean = mean_graph(outputs, args.level)
     if args.what == "mean-graph":
         path = outdir / "mean_graph.csv"
         export_connectome(mean, path, fmt="matrix")

@@ -259,7 +259,7 @@ def load_dataset(manifest_path):
 
 
 def _as_matrix(a):
-    arr = np.asarray(getattr(a, "data", a), dtype=np.float64)
+    arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -285,28 +285,33 @@ def parse_level_selector(selector):
 
 
 def mean_graph(level_outputs, selector="all"):
-    """Elementwise mean of selected adjacency matrices across samples.
+    """Elementwise mean of the selected graphs over every scan.
 
+    `level_outputs` yields one LevelOutputs per slice of scans ([B x n x n]
+    stacks), read one slice at a time; graphs are summed in scan order.
     selector: a 1-based level index, "all" (every generated level), or
     "pearson" (the baseline connectome).
     """
-    outputs = list(level_outputs)
-    if not outputs:
-        raise ContractError("mean_graph of an empty collection")
     selector = parse_level_selector(selector)
-    mats = []
-    for out in outputs:
+    total, count = None, 0
+    for out in level_outputs:
         if selector == "pearson":
-            mats.append(_as_matrix(out.pearson))
+            stacks = [out.pearson]
         elif selector == "all":
-            mats.extend(_as_matrix(a) for a in out.adjacencies)
+            stacks = out.adjacencies
         else:
             if selector > len(out.adjacencies):
                 raise ConfigError(
                     f"level selector {selector} outside [1, {len(out.adjacencies)}]"
                 )
-            mats.append(_as_matrix(out.adjacencies[selector - 1]))
-    return np.mean(mats, axis=0)
+            stacks = [out.adjacencies[selector - 1]]
+        for scan in zip(*(stack.data for stack in stacks)):
+            for mat in map(_as_matrix, scan):
+                total = mat.copy() if total is None else np.add(total, mat, out=total)
+                count += 1
+    if total is None:
+        raise ContractError("mean_graph of an empty collection")
+    return total / count
 
 
 def top_edges(a, fraction):

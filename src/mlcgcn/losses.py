@@ -43,7 +43,6 @@ def cross_entropy(probs, targets: BatchTargets):
     Logs are clamped at 1e-12; with one-hot rows this is the standard
     multi-class cross entropy.
     """
-    probs = probs if isinstance(probs, Tensor) else Tensor(probs)
     n = probs.data.shape[0]
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
@@ -96,8 +95,6 @@ def total_loss(ce, group, alpha=1.0):
     """Weighted objective: cross entropy + alpha * group penalty."""
     if alpha < 0:
         raise ContractError(f"alpha must be >= 0, got {alpha}")
-    ce = ce if isinstance(ce, Tensor) else Tensor(ce)
     if alpha == 0:
         return ce
-    group = group if isinstance(group, Tensor) else Tensor(group)
     return ad.add(ce, ad.scale(group, alpha))

@@ -102,7 +102,7 @@ def _auc_binary(scores, positive):
 
 def compute_metrics(pred_probs, truth) -> MetricReport:
     """Five-metric report from predicted probabilities [N x c]."""
-    probs = np.asarray(getattr(pred_probs, "data", pred_probs), dtype=np.float64)
+    probs = np.asarray(pred_probs, dtype=np.float64)
     truth = np.asarray(truth, dtype=int)
     n, c = probs.shape
     if n < 1:

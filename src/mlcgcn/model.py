@@ -204,7 +204,7 @@ def pearson_connectome(x) -> Tensor:
     The result is a constant (never differentiated): symmetric with a unit
     diagonal. Zero-variance rows get zero off-diagonal entries and a warning.
     """
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    data = x.data
     if data.ndim < 2:
         raise ShapeError(f"pearson_connectome expects [..., n x L], got shape {data.shape}")
     n = data.shape[-2]
@@ -248,7 +248,6 @@ def _dense(x, w):
 
 def embed(x, params, cfg: ModelConfig) -> Tensor:
     """Per-ROI temporal embedding [..., n x l]: conv, flatten, project, activate, +PE."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.shape[-2:] != (cfg.n_rois, cfg.series_len):
         raise ShapeError(
             f"input series must be [{cfg.n_rois} x {cfg.series_len}], got {x.data.shape}"
@@ -268,7 +267,7 @@ def _mlp2(x, params, prefix):
     return ad.add(_dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
-def _multi_head_attention(x, params, prefix, heads, return_weights=False):
+def _multi_head_attention(x, params, prefix, heads):
     """Self-attention over x [..., tokens x d_model]; d_model must split across heads.
 
     Each head's queries, keys and values are one [..., heads x d x tokens]
@@ -285,10 +284,7 @@ def _multi_head_attention(x, params, prefix, heads, return_weights=False):
     scores = ad.scale(ad.bmm(ad.transpose(q_t), k_t), 1.0 / np.sqrt(d))
     attn = ad.softmax_rows(scores)  # [..., heads, tokens, tokens]
     merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
-    out = _dense(ad.transpose(merged_t), params[prefix + "wo"])
-    if return_weights:
-        return out, [Tensor(attn.data[..., head, :, :]) for head in range(heads)]
-    return out
+    return _dense(ad.transpose(merged_t), params[prefix + "wo"])
 
 
 def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None):

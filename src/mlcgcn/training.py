@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import FoldReport, compute_metrics, stratified_kfold
 from .model import MLCGCN, ModelConfig
@@ -22,8 +22,8 @@ from .seeding import derive_rng, derive_seed
 
 log = logging.getLogger("mlcgcn")
 
-# Scans per tape-free forward in evaluation: bounds the memory of `mlcgcn
-# eval` and of the ablation diagnostic on large datasets.
+# Scans per tape-free forward over a dataset: bounds the memory of `mlcgcn
+# eval`, `mlcgcn export` and the ablation diagnostic on large datasets.
 EVAL_BATCH = 16
 
 
@@ -181,15 +181,19 @@ def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
     return {"ce": means[0], "group": means[1], "total": means[2]}
 
 
-def _forward_slices(model: MLCGCN, samples):
-    """Tape-free batched forward over the samples, EVAL_BATCH scans at a time."""
-    for lo in range(0, len(samples), EVAL_BATCH):
-        yield model.predict(np.stack([s.series for s in samples[lo : lo + EVAL_BATCH]]))
+def forward_slices(model: MLCGCN, samples):
+    """Tape-free batched forward over the samples, EVAL_BATCH scans at a time:
+    a generator of `predict` results, every tensor with a leading B axis. An
+    empty sample list raises DataError on the call itself, not on first use."""
+    if not samples:
+        raise DataError("the dataset lists no scans to run the model on")
+    slices = (samples[lo : lo + EVAL_BATCH] for lo in range(0, len(samples), EVAL_BATCH))
+    return (model.predict(np.stack([s.series for s in part])) for part in slices)
 
 
 def evaluate_model(model: MLCGCN, samples):
     """Inference probabilities [N x c] and truth labels for a sample list."""
-    probs = np.concatenate([p.data for p, _ in _forward_slices(model, samples)])
+    probs = np.concatenate([p.data for p, _ in forward_slices(model, samples)])
     truth = np.array([s.label for s in samples], dtype=int)
     return probs, truth
 
@@ -197,7 +201,7 @@ def evaluate_model(model: MLCGCN, samples):
 def intra_group_dissimilarity(model: MLCGCN, samples):
     """The group loss over the whole sample list, taken as a diagnostic
     regardless of the training alpha (no tape, so no gradients)."""
-    slices = [levels.adjacencies for _, levels in _forward_slices(model, samples)]
+    slices = [levels.adjacencies for _, levels in forward_slices(model, samples)]
     graphs = [Tensor(np.concatenate([s[k].data for s in slices])) for k in range(model.config.levels)]
     return float(group_loss(graphs, [s.label for s in samples], model.config.levels).data)
 

@@ -1,5 +1,9 @@
 """Tensor-engine tests: hand oracles, finite differences, tape semantics."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -188,7 +192,7 @@ def test_dropout_statistics():
     rng = np.random.default_rng(6)
     x = Tensor(np.ones(100_000))
     out = ad.dropout(x, 0.5, True, rng)
-    kept = np.count_nonzero(out.data) / x.size
+    kept = np.count_nonzero(out.data) / x.data.size
     assert abs(kept - 0.5) < 0.01
     assert abs(out.data.mean() - 1.0) < 0.02  # survivor scaling preserves the mean
 
@@ -284,15 +288,6 @@ def test_backward_leaf_grads_are_owned_writeable_arrays():
     np.testing.assert_array_equal(d.grad, np.full((2, 5), 0.5))
 
 
-def test_tape_clear_empties_records():
-    w = tensor(np.ones(3))
-    with ad.recording() as tape:
-        ad.sum_all(ad.mul(w, w))
-        assert len(tape) > 0
-        tape.clear()
-        assert len(tape) == 0
-
-
 def test_no_recording_outside_tape():
     w = tensor(np.ones(3))
     out = ad.mul(w, w)  # no active tape: nothing recorded, forward still works
@@ -369,7 +364,6 @@ OP_CASES = [
     ("transpose_3d", ad.transpose, (2, 3, 4)),
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
-    ("slice_axis", lambda p: ad.slice_axis(p, 1, 3, axis=1), (3, 4)),
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1, keepdims=True), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("avgpool", lambda p: ad.avgpool1d_same(p, 3), (3, 5)),
@@ -428,3 +422,28 @@ def test_l2_normalize_zero_row_warns_and_stays_zero():
         out = ad.l2_normalize_rows(x)
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
     np.testing.assert_allclose(out.data[1], [0.6, 0.8])
+
+
+# ---------------------------------------------------------------------------
+# engine surface
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    """Each public function of the engine is called from the package or the
+    benchmark, not only from tests: a bare call inside autodiff.py (other than
+    its own `def`) or an `ad.<name>(` call elsewhere."""
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in ("src/mlcgcn", "perfbench")
+        for path in sorted((root / folder).glob("*.py"))
+    )
+    names = [
+        name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+        if fn.__module__ == ad.__name__ and not name.startswith("_")
+    ]
+    uncalled = [
+        name for name in names
+        if not re.search(rf"(?<!def )(?<![\w.]){name}\(|\bad\.{name}\(", text)
+    ]
+    assert uncalled == []

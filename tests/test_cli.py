@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mlcgcn.cli import build_parser, main, resolve_config
-from mlcgcn.data import SyntheticSpec, load_connectome, load_manifest
-from mlcgcn.model import ModelConfig
-from mlcgcn.training import TrainConfig
+from mlcgcn.data import SyntheticSpec, load_connectome, load_dataset, load_manifest
+from mlcgcn.model import MLCGCN, ModelConfig
+from mlcgcn.training import EVAL_BATCH, TrainConfig
 
 
 SYNTH_ARGS = [
@@ -363,6 +363,57 @@ def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, cap
     assert cause in capsys.readouterr().err
 
 
+def test_export_mean_graph_matches_per_scan_forwards(dataset_dir, trained_dir, tmp_path):
+    # 30 scans: two batched slices (16 + 14) against 30 single-scan forwards.
+    out = tmp_path / "exp"
+    rc = main([
+        "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+        "--manifest", str(dataset_dir / "manifest.json"),
+        "--out", str(out), "--what", "mean-graph", "--level", "all",
+    ])
+    assert rc == 0
+    model = MLCGCN.load(trained_dir / "fold0.ckpt")
+    samples = load_dataset(dataset_dir / "manifest.json")
+    assert EVAL_BATCH < len(samples) <= 2 * EVAL_BATCH
+    per_scan = [a.data for s in samples for a in model.predict(s.series)[1].adjacencies]
+    np.testing.assert_allclose(load_connectome(out / "mean_graph.csv"), np.mean(per_scan, axis=0),
+                               rtol=0, atol=1e-12)
+
+
+def test_export_runs_one_forward_per_slice(dataset_dir, trained_dir, tmp_path, monkeypatch):
+    calls = []
+    predict = MLCGCN.predict
+
+    def counting(self, x, **kwargs):
+        calls.append(x.shape[0])  # scans in this forward
+        return predict(self, x, **kwargs)
+
+    monkeypatch.setattr(MLCGCN, "predict", counting)
+    rc = main([
+        "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+        "--manifest", str(dataset_dir / "manifest.json"),
+        "--out", str(tmp_path / "exp"), "--what", "node-importance",
+    ])
+    assert rc == 0
+    n = len(load_manifest(dataset_dir / "manifest.json").scans)
+    assert calls == [EVAL_BATCH, n - EVAL_BATCH]  # ceil(n / EVAL_BATCH) calls, not n
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"],
+    ["export", "--what", "mean-graph"],
+], ids=["eval", "export"])
+def test_empty_manifest_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, argv):
+    doc = json.loads((dataset_dir / "manifest.json").read_text())
+    doc["scans"] = []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(doc))
+    rc = main([*argv, "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(empty), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "the dataset lists no scans" in capsys.readouterr().err
+
+
 def test_export_level_checked_before_checkpoint(dataset_dir, tmp_path, capsys):
     missing = tmp_path / "no-such.ckpt"
     rc = main(["export", "--checkpoint", str(missing),
@@ -462,3 +513,18 @@ def test_ablate_custom_variants(dataset_dir, tmp_path, capsys):
     assert table[0].startswith("variant,")
     assert len(table) == 3
     assert table[1].startswith("no-group,")
+
+
+def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
+    variant = ["--variant", "no-group:train.alpha=0.0"]
+    first, second = tmp_path / "a1", tmp_path / "a2"
+    assert main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
+                 "--out", str(first), *TRAIN_ARGS, *variant]) == 0
+    snapshot = first / "resolved.cfg"
+    keys = {line.split(" = ")[0] for line in snapshot.read_text().splitlines()}
+    expected = {f"{scope}.{f.name}" for scope, cls in (("model", ModelConfig), ("train", TrainConfig))
+                for f in dataclasses.fields(cls)}
+    assert keys - {"run.subcommand", "run.manifest"} == expected
+    assert main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
+                 "--out", str(second), "--config", str(snapshot), *variant]) == 0
+    assert (second / "ablation.txt").read_bytes() == (first / "ablation.txt").read_bytes()

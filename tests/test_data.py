@@ -165,10 +165,11 @@ def test_write_dataset_refuses_nonempty_dir(tmp_path):
 
 
 def _outputs_with(adjacencies, pearson=None):
+    """The LevelOutputs of a one-scan slice: every graph a [1 x n x n] stack."""
     n = adjacencies[0].shape[0]
     return LevelOutputs(
-        adjacencies=[Tensor(a) for a in adjacencies],
-        pearson=Tensor(pearson if pearson is not None else np.eye(n)),
+        adjacencies=[Tensor(a[None]) for a in adjacencies],
+        pearson=Tensor((pearson if pearson is not None else np.eye(n))[None]),
         embeddings=[],
     )
 
@@ -196,6 +197,20 @@ def test_mean_graph_pearson_selector():
     f = np.array([[1.0, 0.7], [0.7, 1.0]])
     out = mean_graph([_outputs_with([np.eye(2)], pearson=f)], selector="pearson")
     np.testing.assert_array_equal(out, f)
+
+
+def test_mean_graph_over_slices_of_unequal_size_is_mean_over_scans():
+    rng = np.random.default_rng(5)
+    graphs = rng.normal(size=(7, 2, 4, 4))  # [scans, levels, n, n]
+    slices = [
+        LevelOutputs(adjacencies=[Tensor(graphs[lo:hi, k]) for k in range(2)],
+                     pearson=Tensor(graphs[lo:hi, 0]), embeddings=[])
+        for lo, hi in ((0, 5), (5, 7))
+    ]
+    np.testing.assert_allclose(mean_graph(slices, selector="all"), graphs.mean(axis=(0, 1)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mean_graph(slices, selector=2), graphs[:, 1].mean(axis=0),
+                               rtol=0, atol=1e-12)
 
 
 def test_mean_graph_empty_rejected():

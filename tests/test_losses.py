@@ -116,19 +116,18 @@ def test_group_loss_nonnegative(seed, batch):
 
 def test_group_loss_per_level_stacks_match_per_sample_lists():
     rng = np.random.default_rng(2)
-    data = rng.normal(size=(2, 5, 3, 3))  # [levels, samples, n, n]
+    data = rng.normal(size=(5, 2, 3, 3))  # [samples, levels, n, n]
     labels = [0, 1, 0, 0, 1]
 
     def value_and_grads(per_level):
-        leaves = [Tensor(d, requires_grad=True) for d in data]
+        leaves = [[Tensor(d, requires_grad=True) for d in sample] for sample in data]
         with ad.recording():
             graphs = leaves
-            if not per_level:
-                graphs = [[ad.reshape(ad.slice_axis(leaf, u, u + 1, axis=0), (3, 3))
-                           for leaf in leaves] for u in range(5)]
+            if per_level:
+                graphs = [ad.stack_rows([sample[k] for sample in leaves]) for k in range(2)]
             loss = group_loss(graphs, labels, levels=2)
             ad.backward(loss)
-        return loss.item(), [leaf.grad for leaf in leaves]
+        return loss.item(), [leaf.grad for sample in leaves for leaf in sample]
 
     (v_stack, g_stack), (v_list, g_list) = value_and_grads(True), value_and_grads(False)
     assert v_stack == pytest.approx(v_list, rel=1e-12, abs=0)

@@ -26,7 +26,6 @@ from mlcgcn.model import (
     stfe_forward,
     tfe_forward,
 )
-from mlcgcn.model import _multi_head_attention
 from mlcgcn.seeding import derive_rng
 
 
@@ -189,14 +188,6 @@ def test_sfe_zeroed_sublayers_reduce_to_layer_norm(cfg, params):
         )
     )
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
-
-
-def test_attention_rows_sum_to_one(cfg, params):
-    h = Tensor(derive_rng(3, "h").normal(size=(8, 6)))
-    _, weights = _multi_head_attention(h, params, "stfe1.sfe.", cfg.attention_heads,
-                                       return_weights=True)
-    for w in weights:
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_tfe_constant_rows_have_no_seasonal_part(cfg):
