@@ -155,20 +155,6 @@ def mul(a, b):
     return out
 
 
-def scale(x, c):
-    """Multiply by a plain Python/NumPy scalar constant."""
-    x = _as_tensor(x)
-    c = float(c)
-    out = Tensor(x.data * c, x.requires_grad)
-    if out.requires_grad:
-
-        def pull(g, acc):
-            acc(x, g * c)
-
-        _record(out, (x,), pull)
-    return out
-
-
 def relu(x):
     return clamp_min(x, 0.0)
 
@@ -463,46 +449,6 @@ def conv1d_same(x, kernels, bias):
                 acc(x, dxp[..., pad : pad + L])
 
         _record(out, (x, kernels, bias), pull)
-    return out
-
-
-def avgpool1d_same(x, window):
-    """Moving average of size `window` along the last axis, replicate-padded.
-
-    Edge padding repeats the boundary values so the output keeps the input
-    length and constant inputs stay constant.
-    """
-    x = _as_tensor(x)
-    t = int(window)
-    if t < 1:
-        raise ConfigError(f"avgpool1d_same window must be >= 1, got {window}")
-    L = x.data.shape[-1]
-    pl = (t - 1) // 2
-    pr = t - 1 - pl
-    parts = []
-    if pl:
-        parts.append(np.repeat(x.data[..., :1], pl, axis=-1))
-    parts.append(x.data)
-    if pr:
-        parts.append(np.repeat(x.data[..., -1:], pr, axis=-1))
-    xp = np.concatenate(parts, axis=-1) if len(parts) > 1 else x.data
-    win = sliding_window_view(xp, t, axis=-1)  # [..., L, t]
-    out = Tensor(win.mean(axis=-1), x.requires_grad)
-    if out.requires_grad:
-
-        def pull(g, acc):
-            gp = g / t
-            dxp = np.zeros(xp.shape)
-            for off in range(t):
-                dxp[..., off : off + L] += gp
-            dx = dxp[..., pl : pl + L].copy()
-            if pl:
-                dx[..., 0] += dxp[..., :pl].sum(axis=-1)
-            if pr:
-                dx[..., -1] += dxp[..., pl + L :].sum(axis=-1)
-            acc(x, dx)
-
-        _record(out, (x,), pull)
     return out
 
 

@@ -4,9 +4,12 @@ Subcommands: synth, train, eval, ablate, gradcheck, export. synth, train
 and ablate take configuration from a flat "key = value" file with dotted
 keys (model.levels, train.learning_rate, synth.noise), one per field of
 ModelConfig, TrainConfig and SyntheticSpec; repeated --set key=value flags
-override file values. Every run writes a resolved-config snapshot to its
-output directory. Exit codes: 0 success, 1 verification/metric failure, 2
-usage/config error. Logs go to stderr, data to files and stdout.
+override file values. Each subcommand takes only its own scopes: synth the
+synth.* keys, train and ablate the model.* and train.* keys (also in
+ablate --variant); any other key is a config error. Every run writes a
+resolved-config snapshot to its output directory. Exit codes: 0 success,
+1 verification/metric failure, 2 usage/config error. Logs go to stderr,
+data to files and stdout.
 """
 
 import argparse
@@ -80,6 +83,8 @@ _KNOWN_KEYS = {
     for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec))
     for f in dataclasses.fields(cls)
 }
+# The config scopes each configurable subcommand takes.
+_SCOPES = {"synth": ("synth",), "train": ("model", "train"), "ablate": ("model", "train")}
 
 
 def parse_config_file(path):
@@ -100,6 +105,22 @@ def parse_config_file(path):
     return raw
 
 
+def _parse_key(key, value, subcommand):
+    """Typed value of one config key, which must be in the subcommand's scopes."""
+    if key not in _KNOWN_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    scopes = _SCOPES[subcommand]
+    if key.partition(".")[0] not in scopes:
+        raise ConfigError(
+            f"config key {key!r} does not apply to {subcommand}, which takes "
+            + " and ".join(f"{scope}.*" for scope in scopes)
+        )
+    try:
+        return _KNOWN_KEYS[key](value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
+
+
 def resolve_config(args):
     """Merge config file and --set overrides into a typed key->value dict."""
     raw = parse_config_file(args.config) if args.config else {}
@@ -108,17 +129,11 @@ def resolve_config(args):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    typed = {}
-    for key, value in raw.items():
-        if key.startswith("run."):
-            continue  # snapshot bookkeeping keys are ignored on input
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            typed[key] = _KNOWN_KEYS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return typed
+    return {
+        key: _parse_key(key, value, args.subcommand)
+        for key, value in raw.items()
+        if not key.startswith("run.")  # snapshot bookkeeping keys are ignored on input
+    }
 
 
 def _dataclass_from_keys(cls, prefix, typed):
@@ -193,8 +208,9 @@ def cmd_synth(args):
 def _cv_setup(args):
     """Set-up shared by train and ablate: the dataset, the model and train
     configs, and the output directory with its snapshot."""
+    typed = resolve_config(args)
     samples = load_dataset(args.manifest)
-    typed = _fill_model_defaults(resolve_config(args), load_manifest(args.manifest))
+    typed = _fill_model_defaults(typed, load_manifest(args.manifest))
     model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
     outdir = _out_dir(args)
@@ -255,9 +271,7 @@ def cmd_ablate(args):
             if rest:
                 for pair in rest.split(","):
                     key, _, value = pair.partition("=")
-                    if key not in _KNOWN_KEYS:
-                        raise ConfigError(f"unknown variant key {key!r}")
-                    deltas[key] = _KNOWN_KEYS[key](value)
+                    deltas[key] = _parse_key(key, value, args.subcommand)
             variants.append((name, deltas))
     rows = run_ablation(samples, model_cfg, train_cfg, variants)
     table = ablation_table(rows)
@@ -270,10 +284,7 @@ GRADCHECK_LIMITS = {"n_rois": 8, "series_len": 32, "levels": 2}
 
 
 def cmd_gradcheck(args):
-    cfg = gradcheck_config(
-        n_rois=args.n_rois, series_len=args.series_len,
-        embed_len=args.embed_len, levels=args.levels,
-    )
+    cfg = gradcheck_config(n_rois=args.n_rois, series_len=args.series_len, levels=args.levels)
     for field_name, limit in GRADCHECK_LIMITS.items():
         if getattr(cfg, field_name) > limit:
             raise ConfigError(
@@ -380,7 +391,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-rois", type=int, default=6, dest="n_rois")
     p.add_argument("--series-len", type=int, default=20, dest="series_len")
-    p.add_argument("--embed-len", type=int, default=8, dest="embed_len")
     p.add_argument("--levels", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -52,7 +52,7 @@ def cross_entropy(probs, targets: BatchTargets):
         )
     logp = ad.log(ad.clamp_min(probs, LOG_FLOOR))
     weighted = ad.mul(logp, Tensor(targets.probs))
-    return ad.scale(ad.sum_all(weighted), -1.0 / n)
+    return ad.mul(ad.sum_all(weighted), Tensor(-1.0 / n))
 
 
 def group_loss(adjacencies, labels, levels):
@@ -88,7 +88,7 @@ def group_loss(adjacencies, labels, levels):
         diff = ad.sub(stack, ad.matmul(mean_of, stack))
         term = ad.sum_all(ad.mul(ad.mul(diff, diff), weight))
         total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / levels)
+    return ad.mul(total, Tensor(1.0 / levels))
 
 
 def total_loss(ce, group, alpha=1.0):
@@ -97,4 +97,4 @@ def total_loss(ce, group, alpha=1.0):
         raise ContractError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return ce
-    return ad.add(ce, ad.scale(group, alpha))
+    return ad.add(ce, ad.mul(group, Tensor(alpha)))

@@ -234,7 +234,7 @@ def generate_adjacency(h_level: Tensor) -> Tensor:
     """
     h = ad.l2_normalize_rows(h_level)
     a = ad.bmm(h, ad.transpose(h))
-    a = ad.scale(ad.add(a, ad.transpose(a)), 0.5)
+    a = ad.mul(ad.add(a, ad.transpose(a)), Tensor(0.5))
     a = ad.clamp(a, -1.0, 1.0)
     eye = np.eye(a.data.shape[-1])
     return ad.add(ad.mul(a, Tensor(1.0 - eye)), Tensor(eye))
@@ -261,6 +261,20 @@ def embed(x, params, cfg: ModelConfig) -> Tensor:
     return z
 
 
+def moving_average(x, window) -> Tensor:
+    """Replicate-padded moving average of size `window` along the last axis.
+
+    A constant [l x l] product: count[j, i] is how often input position j
+    falls in output i's edge-padded window. The integer counts are applied
+    before the 1/window multiply, so a constant row maps to itself exactly.
+    """
+    l = x.data.shape[-1]
+    src = np.clip(np.arange(l)[:, None] + np.arange(window) - (window - 1) // 2, 0, l - 1)
+    counts = np.zeros((l, l))
+    np.add.at(counts, (src, np.arange(l)[:, None]), 1.0)
+    return ad.mul(_dense(x, Tensor(counts)), Tensor(1.0 / window))
+
+
 def _mlp2(x, params, prefix):
     """Two-layer perceptron with a ReLU hidden layer."""
     hidden = ad.relu(ad.add(_dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
@@ -281,7 +295,7 @@ def _multi_head_attention(x, params, prefix, heads):
         return ad.reshape(projected, (*lead, heads, d, tokens))
 
     q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
-    scores = ad.scale(ad.bmm(ad.transpose(q_t), k_t), 1.0 / np.sqrt(d))
+    scores = ad.mul(ad.bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
     attn = ad.softmax_rows(scores)  # [..., heads, tokens, tokens]
     merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
     return _dense(ad.transpose(merged_t), params[prefix + "wo"])
@@ -301,9 +315,7 @@ def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None)
     attn = ad.dropout(attn, cfg.dropout_rate, training, rng)
     x = ad.add(x, attn)
     ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    hidden = ad.relu(ad.add(_dense(ffn_in, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
-    ffn = ad.add(_dense(hidden, params[p + "ffn.w2"]), params[p + "ffn.b2"])
-    ffn = ad.dropout(ffn, cfg.dropout_rate, training, rng)
+    ffn = ad.dropout(_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, training, rng)
     x = ad.add(x, ffn)
     x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
     return ad.transpose(x)  # back to [n x l]
@@ -317,7 +329,7 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
     the input exactly.
     """
     p = f"stfe{level}.tfe."
-    trend = ad.avgpool1d_same(h_in, cfg.kernel_size)
+    trend = moving_average(h_in, cfg.kernel_size)
     seasonal = ad.sub(h_in, trend)
     mixed = ad.add(
         ad.relu(_dense(trend, params[p + "wt"])),

@@ -26,6 +26,9 @@ log = logging.getLogger("mlcgcn")
 # eval`, `mlcgcn export` and the ablation diagnostic on large datasets.
 EVAL_BATCH = 16
 
+# AdamW moment decay rates and denominator floor (the usual Adam defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -60,9 +63,6 @@ class OptimizerState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -80,7 +80,7 @@ def adamw_step(params, state: OptimizerState, cfg: TrainConfig):
     update. A non-finite gradient aborts the step naming the parameter.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -91,7 +91,7 @@ def adamw_step(params, state: OptimizerState, cfg: TrainConfig):
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         update += cfg.learning_rate * cfg.weight_decay * p.data
         p.data = p.data - update
         if not np.isfinite(p.data).all():
@@ -331,13 +331,13 @@ def ablation_table(rows) -> str:
 # gradient check
 
 
-def gradcheck_config(n_rois=6, series_len=20, embed_len=8, levels=2, classes=3):
+def gradcheck_config(n_rois=6, series_len=20, levels=2):
     """The tiny model the finite-difference gradient check runs on."""
     return ModelConfig(
         series_len=series_len,
-        classes=classes,
+        classes=3,
         n_rois=n_rois,
-        embed_len=embed_len,
+        embed_len=min(8, series_len),
         conv_kernels=4,
         kernel_size=5,
         hidden_size=8,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mlcgcn import autodiff as ad
 from mlcgcn.autodiff import Tensor
 from mlcgcn.errors import ConfigError, ContractError, OracleError, ShapeError
+from mlcgcn.model import moving_average
 
 
 def tensor(data, grad=True):
@@ -84,30 +85,35 @@ def test_conv_kernel_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# avgpool1d_same
+# moving average: the replicate-padded average pool behind the TFE trend, a
+# constant window-count product built from engine ops
 
 
 def test_avgpool_window_one_is_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 6))
-    out = ad.avgpool1d_same(Tensor(x), 1)
+    out = moving_average(Tensor(x), 1)
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_avgpool_replicate_padding_hand_case():
-    out = ad.avgpool1d_same(Tensor([0.0, 3.0, 6.0]), 3)
+    out = moving_average(Tensor([0.0, 3.0, 6.0]), 3)
     np.testing.assert_allclose(out.data, [1.0, 3.0, 5.0])
 
 
 @given(st.integers(min_value=1, max_value=9), st.floats(-5, 5))
 def test_avgpool_constant_series_fixed_point(window, value):
-    out = ad.avgpool1d_same(Tensor(np.full(7, value)), window)
+    out = moving_average(Tensor(np.full(7, value)), window)
     np.testing.assert_allclose(out.data, np.full(7, value))
 
 
-def test_avgpool_window_below_one_rejected():
-    with pytest.raises(ConfigError):
-        ad.avgpool1d_same(Tensor(np.ones(4)), 0)
+@pytest.mark.parametrize("window", [2, 3, 4, 5, 9])
+def test_avgpool_matches_edge_padded_sliding_mean(window):
+    x = np.random.default_rng(5).normal(size=(2, 3, 7))
+    left = (window - 1) // 2
+    padded = np.pad(x, [(0, 0), (0, 0), (left, window - 1 - left)], mode="edge")
+    reference = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1).mean(axis=-1)
+    np.testing.assert_allclose(moving_average(Tensor(x), window).data, reference, rtol=0, atol=1e-12)
 
 
 def test_avgpool_gradient_even_and_odd_windows():
@@ -115,7 +121,7 @@ def test_avgpool_gradient_even_and_odd_windows():
     for window in (2, 3, 4):
         x = tensor(rng.normal(size=(2, 7)))
         err = ad.finite_diff_check(
-            lambda p: ad.sum_all(ad.mul(o := ad.avgpool1d_same(p, window), o)), x, eps=1e-5
+            lambda p: ad.sum_all(ad.mul(o := moving_average(p, window), o)), x, eps=1e-5
         )
         assert err < 1e-4, f"window={window}"
 
@@ -321,7 +327,7 @@ def test_finite_diff_softmax_cross_entropy():
 
     def f(p):
         logp = ad.log(ad.clamp_min(ad.softmax_rows(p), 1e-12))
-        return ad.scale(ad.sum_all(ad.mul(logp, Tensor(target))), -1.0)
+        return ad.mul(ad.sum_all(ad.mul(logp, Tensor(target))), Tensor(-1.0))
 
     assert ad.finite_diff_check(f, logits, eps=1e-5) < 1e-5
 
@@ -351,7 +357,7 @@ OP_CASES = [
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
     ("sub", lambda p: ad.sub(p, Tensor(_rand((3, 4), 12))), (3, 4)),
     ("mul", lambda p: ad.mul(p, Tensor(_rand((3, 4), 13))), (3, 4)),
-    ("scale", lambda p: ad.scale(p, -1.7), (3, 4)),
+    ("scale", lambda p: ad.mul(p, Tensor(-1.7)), (3, 4)),
     ("relu", lambda p: ad.relu(p), (3, 4)),
     ("log", lambda p: ad.log(ad.add(ad.mul(p, p), Tensor(np.full((3, 4), 0.5)))), (3, 4)),
     ("clamp", lambda p: ad.clamp(p, -0.5, 0.5), (3, 4)),
@@ -366,7 +372,7 @@ OP_CASES = [
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1, keepdims=True), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
-    ("avgpool", lambda p: ad.avgpool1d_same(p, 3), (3, 5)),
+    ("avgpool", lambda p: moving_average(p, 3), (3, 5)),
     (
         "conv_input",
         lambda p: ad.conv1d_same(p, Tensor(_rand((2, 3), 19)), Tensor(_rand(2, 20))),

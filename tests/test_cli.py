@@ -105,15 +105,28 @@ def test_every_config_field_settable_and_typed():
         int: ("3", 3), float: ("0.5", 0.5), bool: ("false", False),
         Optional[tuple]: ("0+1", (0, 1)),
     }
-    argv, expected = ["synth"], {}
-    for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec)):
-        for f in dataclasses.fields(cls):
-            text, value = samples[f.type]
-            argv += ["--set", f"{scope}.{f.name}={text}"]
-            expected[f"{scope}.{f.name}"] = value
-    typed = resolve_config(build_parser().parse_args(argv))
-    assert typed == expected
-    assert all(type(typed[k]) is type(v) for k, v in expected.items())
+    for argv, scopes in (
+        (["synth"], (("synth", SyntheticSpec),)),
+        (["train", "--manifest", "m.json"], (("model", ModelConfig), ("train", TrainConfig))),
+    ):
+        expected = {}
+        for scope, cls in scopes:
+            for f in dataclasses.fields(cls):
+                text, value = samples[f.type]
+                argv += ["--set", f"{scope}.{f.name}={text}"]
+                expected[f"{scope}.{f.name}"] = value
+        typed = resolve_config(build_parser().parse_args(argv))
+        assert typed == expected
+        assert all(type(typed[k]) is type(v) for k, v in expected.items())
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["synth"], "train.epochs=5"),
+    (["train", "--manifest", "m.json"], "synth.noise=1"),
+])
+def test_config_key_outside_the_subcommand_scopes_rejected(tmp_path, capsys, argv, key):
+    assert main([*argv, "--out", str(tmp_path / "x"), "--set", key]) == 2
+    assert f"config key {key.split('=')[0]!r} does not apply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["model.gcn_layers", "model.normalize_adjacency",
@@ -293,6 +306,13 @@ def test_gradcheck_impossible_tolerance_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "worst block" in captured.out
     assert "FAILED" in captured.err
+
+
+def test_gradcheck_config_fits_short_series():
+    from mlcgcn.cli import gradcheck_config
+
+    assert gradcheck_config(series_len=6).embed_len == 6
+    assert gradcheck_config().embed_len == 8
 
 
 def test_gradcheck_enforces_tiny_config(tmp_path, capsys):
@@ -513,6 +533,17 @@ def test_ablate_custom_variants(dataset_dir, tmp_path, capsys):
     assert table[0].startswith("variant,")
     assert len(table) == 3
     assert table[1].startswith("no-group,")
+
+
+@pytest.mark.parametrize("variant,key", [
+    ("x:model.levels=two", "model.levels"),
+    ("x:synth.noise=1", "synth.noise"),
+])
+def test_ablate_bad_variant_value_is_a_config_error(dataset_dir, tmp_path, capsys, variant, key):
+    rc = main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
+               "--out", str(tmp_path / "abl"), *TRAIN_ARGS, "--variant", variant])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
