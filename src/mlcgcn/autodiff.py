@@ -86,8 +86,21 @@ def _as_tensor(x):
 
 def _record(out, inputs, pull):
     tape = getattr(_TLS, "tape", None)
-    if tape is not None and out.requires_grad:
+    if tape is not None:
         tape.records.append((out, inputs, pull))
+
+
+def _op(data, inputs, pull):
+    """Wrap an op's forward result; the record policy of every op lives here.
+
+    The output requires grad iff any input does, and only then is
+    (output, inputs, pull) recorded on the active tape. `pull(g, acc)` reads
+    what it needs from `inputs`, which the record keeps alive.
+    """
+    out = Tensor(data, any(t.requires_grad for t in inputs))
+    if out.requires_grad:
+        _record(out, inputs, pull)
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -109,50 +122,38 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ash, bsh = a.data.shape, b.data.shape
 
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, _unbroadcast(g, ash))
-            if b.requires_grad:
-                acc(b, _unbroadcast(g, bsh))
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g, b.data.shape))
 
-        _record(out, (a, b), pull)
-    return out
+    return _op(a.data + b.data, (a, b), pull)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ash, bsh = a.data.shape, b.data.shape
 
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, _unbroadcast(g, ash))
-            if b.requires_grad:
-                acc(b, _unbroadcast(-g, bsh))
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(-g, b.data.shape))
 
-        _record(out, (a, b), pull)
-    return out
+    return _op(a.data - b.data, (a, b), pull)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
 
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, _unbroadcast(g * bd, ad.shape))
-            if b.requires_grad:
-                acc(b, _unbroadcast(g * ad, bd.shape))
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g * a.data, b.data.shape))
 
-        _record(out, (a, b), pull)
-    return out
+    return _op(a.data * b.data, (a, b), pull)
 
 
 def relu(x):
@@ -161,43 +162,31 @@ def relu(x):
 
 def log(x):
     x = _as_tensor(x)
-    out = Tensor(np.log(x.data), x.requires_grad)
-    if out.requires_grad:
-        xd = x.data
 
-        def pull(g, acc):
-            acc(x, g / xd)
+    def pull(g, acc):
+        acc(x, g / x.data)
 
-        _record(out, (x,), pull)
-    return out
+    return _op(np.log(x.data), (x,), pull)
 
 
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient flows only where x > floor."""
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, floor), x.requires_grad)
-    if out.requires_grad:
-        mask = x.data > floor
 
-        def pull(g, acc):
-            acc(x, g * mask)
+    def pull(g, acc):
+        acc(x, g * (x.data > floor))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(np.maximum(x.data, floor), (x,), pull)
 
 
 def clamp(x, lo, hi):
     """Elementwise clip to [lo, hi]; gradient passes inside the open interval."""
     x = _as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi), x.requires_grad)
-    if out.requires_grad:
-        mask = (x.data > lo) & (x.data < hi)
 
-        def pull(g, acc):
-            acc(x, g * mask)
+    def pull(g, acc):
+        acc(x, g * ((x.data > lo) & (x.data < hi)))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(np.clip(x.data, lo, hi), (x,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +199,14 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul expects [p x q] @ [q x r], got {a.data.shape} @ {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
 
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, g @ bd.T)
-            if b.requires_grad:
-                acc(b, ad.T @ g)
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, g @ b.data.T)
+        if b.requires_grad:
+            acc(b, a.data.T @ g)
 
-        _record(out, (a, b), pull)
-    return out
+    return _op(a.data @ b.data, (a, b), pull)
 
 
 def bmm(a, b):
@@ -234,18 +219,14 @@ def bmm(a, b):
     ash, bsh = a.data.shape, b.data.shape
     if len(ash) < 2 or ash[:-2] != bsh[:-2] or ash[-1:] != bsh[-2:-1]:
         raise ShapeError(f"bmm expects [..., p x q] @ [..., q x r], got {ash} @ {bsh}")
-    out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
 
-        def pull(g, acc):
-            if a.requires_grad:
-                acc(a, np.matmul(g, np.swapaxes(bd, -1, -2)))
-            if b.requires_grad:
-                acc(b, np.matmul(np.swapaxes(ad, -1, -2), g))
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-        _record(out, (a, b), pull)
-    return out
+    return _op(np.matmul(a.data, b.data), (a, b), pull)
 
 
 def transpose(x):
@@ -253,67 +234,51 @@ def transpose(x):
     x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"transpose expects at least 2 axes, got shape {x.data.shape}")
-    out = Tensor(np.ascontiguousarray(np.swapaxes(x.data, -1, -2)), x.requires_grad)
-    if out.requires_grad:
 
-        def pull(g, acc):
-            acc(x, np.swapaxes(g, -1, -2))
+    def pull(g, acc):
+        acc(x, np.swapaxes(g, -1, -2))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(np.ascontiguousarray(np.swapaxes(x.data, -1, -2)), (x,), pull)
 
 
 def reshape(x, shape):
     x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape), x.requires_grad)
-    if out.requires_grad:
-        orig = x.data.shape
 
-        def pull(g, acc):
-            acc(x, g.reshape(orig))
+    def pull(g, acc):
+        acc(x, g.reshape(x.data.shape))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(x.data.reshape(shape), (x,), pull)
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = tuple(_as_tensor(t) for t in tensors)
     if not tensors:
         raise ContractError("concat of an empty sequence")
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
-        def pull(g, acc):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    acc(t, g[tuple(idx)])
+    def pull(g, acc):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                acc(t, g[tuple(idx)])
 
-        _record(out, tuple(tensors), pull)
-    return out
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, pull)
 
 
 def stack_rows(rows):
     """Stack N tensors of equal shape along a new leading axis of length N."""
-    rows = [_as_tensor(r) for r in rows]
+    rows = tuple(_as_tensor(r) for r in rows)
     if not rows:
         raise ContractError("stack_rows of an empty sequence")
-    out = Tensor(np.stack([r.data for r in rows]), any(r.requires_grad for r in rows))
-    if out.requires_grad:
 
-        def pull(g, acc):
-            for i, r in enumerate(rows):
-                if r.requires_grad:
-                    acc(r, g[i])
+    def pull(g, acc):
+        for i, r in enumerate(rows):
+            if r.requires_grad:
+                acc(r, g[i])
 
-        _record(out, tuple(rows), pull)
-    return out
+    return _op(np.stack([r.data for r in rows]), rows, pull)
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +287,21 @@ def stack_rows(rows):
 
 def sum_all(x):
     x = _as_tensor(x)
-    out = Tensor(x.data.sum(), x.requires_grad)
-    if out.requires_grad:
-        shape = x.data.shape
 
-        def pull(g, acc):
-            acc(x, np.broadcast_to(g, shape))
+    def pull(g, acc):
+        acc(x, np.broadcast_to(g, x.data.shape))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(x.data.sum(), (x,), pull)
 
 
-def mean_axis(x, axis, keepdims=False):
+def mean_axis(x, axis):
     x = _as_tensor(x)
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims), x.requires_grad)
-    if out.requires_grad:
+
+    def pull(g, acc):
         shape = x.data.shape
-        k = shape[axis]
+        acc(x, np.broadcast_to(np.expand_dims(g, axis) / shape[axis], shape))
 
-        def pull(g, acc):
-            gg = g if keepdims else np.expand_dims(g, axis)
-            acc(x, np.broadcast_to(gg / k, shape))
-
-        _record(out, (x,), pull)
-    return out
+    return _op(x.data.mean(axis=axis), (x,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +314,11 @@ def softmax_rows(x):
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, x.requires_grad)
-    if out.requires_grad:
 
-        def pull(g, acc):
-            acc(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    def pull(g, acc):
+        acc(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-        _record(out, (x,), pull)
-    return out
+    return _op(y, (x,), pull)
 
 
 def layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
@@ -382,29 +335,25 @@ def layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + shift.data, x.requires_grad or gain.requires_grad or shift.requires_grad)
-    if out.requires_grad:
-        gd = gain.data
 
-        def pull(g, acc):
-            if shift.requires_grad:
-                acc(shift, g.reshape(-1, d).sum(axis=0))
-            if gain.requires_grad:
-                acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gd
-                acc(
-                    x,
-                    inv
-                    * (
-                        gx
-                        - gx.mean(axis=-1, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-                    ),
-                )
+    def pull(g, acc):
+        if shift.requires_grad:
+            acc(shift, g.reshape(-1, d).sum(axis=0))
+        if gain.requires_grad:
+            acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gain.data
+            acc(
+                x,
+                inv
+                * (
+                    gx
+                    - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+                ),
+            )
 
-        _record(out, (x, gain, shift), pull)
-    return out
+    return _op(xhat * gain.data + shift.data, (x, gain, shift), pull)
 
 
 def conv1d_same(x, kernels, bias):
@@ -431,31 +380,28 @@ def conv1d_same(x, kernels, bias):
     # One BLAS product per row, [m x t] @ [t x L], written in output order.
     out_data = np.matmul(kernels.data, np.swapaxes(win, -1, -2))
     out_data += bias.data[:, None]
-    out = Tensor(out_data, x.requires_grad or kernels.requires_grad or bias.requires_grad)
-    if out.requires_grad:
-        kd = kernels.data
 
-        def pull(g, acc):
-            if bias.requires_grad:
-                acc(bias, g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
-            if kernels.requires_grad:
-                rows = win.reshape(-1, L, t)  # a view: the leading axes merge
-                acc(kernels, np.matmul(g.reshape(-1, m, L), rows).sum(axis=0))
-            if x.requires_grad:
-                dwin = np.matmul(np.swapaxes(g, -1, -2), kd)  # [..., n, L, t]
-                dxp = np.zeros(xp.shape)
-                for off in range(t):
-                    dxp[..., off : off + L] += dwin[..., off]
-                acc(x, dxp[..., pad : pad + L])
+    def pull(g, acc):
+        if bias.requires_grad:
+            acc(bias, g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
+        if kernels.requires_grad:
+            rows = win.reshape(-1, L, t)  # a view: the leading axes merge
+            acc(kernels, np.matmul(g.reshape(-1, m, L), rows).sum(axis=0))
+        if x.requires_grad:
+            dwin = np.matmul(np.swapaxes(g, -1, -2), kernels.data)  # [..., n, L, t]
+            dxp = np.zeros(xp.shape)
+            for off in range(t):
+                dxp[..., off : off + L] += dwin[..., off]
+            acc(x, dxp[..., pad : pad + L])
 
-        _record(out, (x, kernels, bias), pull)
-    return out
+    return _op(out_data, (x, kernels, bias), pull)
 
 
 def dropout(x, rate, training, rng=None):
     """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
 
-    Identity when training is false or rate is 0.
+    Identity when training is false or rate is 0; otherwise a product with
+    the constant mask keep/(1-rate).
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
@@ -465,15 +411,7 @@ def dropout(x, rate, training, rng=None):
     if rng is None:
         raise ContractError("dropout in training mode needs a seeded rng")
     keep = rng.random(x.data.shape) >= rate
-    s = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * keep * s, x.requires_grad)
-    if out.requires_grad:
-
-        def pull(g, acc):
-            acc(x, g * keep * s)
-
-        _record(out, (x,), pull)
-    return out
+    return mul(x, Tensor(keep * (1.0 / (1.0 - rate))))
 
 
 def l2_normalize_rows(x):
@@ -493,17 +431,14 @@ def l2_normalize_rows(x):
         )
     safe = np.where(zero, 1.0, norms)[..., None]
     y = x.data / safe
-    out = Tensor(y, x.requires_grad)
-    if out.requires_grad:
 
-        def pull(g, acc):
-            d = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
-            if zero.any():
-                d[zero] = 0.0
-            acc(x, d)
+    def pull(g, acc):
+        d = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
+        if zero.any():
+            d[zero] = 0.0
+        acc(x, d)
 
-        _record(out, (x,), pull)
-    return out
+    return _op(y, (x,), pull)
 
 
 # ---------------------------------------------------------------------------

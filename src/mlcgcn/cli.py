@@ -167,14 +167,19 @@ def write_snapshot(outdir, subcommand, run_extras, configs=None):
     (Path(outdir) / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _manifest_geometry(manifest):
+    """The ModelConfig fields a dataset fixes, by field name."""
+    return {
+        "n_rois": manifest.n_rois,
+        "series_len": manifest.series_len,
+        "classes": len(manifest.classes),
+    }
+
+
 def _fill_model_defaults(typed, manifest):
     """Model geometry follows the dataset; explicit conflicting keys fail fast."""
-    derived = {
-        "model.n_rois": manifest.n_rois,
-        "model.series_len": manifest.series_len,
-        "model.classes": len(manifest.classes),
-    }
-    for key, value in derived.items():
+    for name, value in _manifest_geometry(manifest).items():
+        key = f"model.{name}"
         if key in typed and typed[key] != value:
             raise ConfigError(
                 f"{key}={typed[key]} conflicts with the manifest value {value}"
@@ -233,18 +238,11 @@ def cmd_train(args):
 def cmd_eval(args):
     model = MLCGCN.load(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    cfg = model.config
-    mismatches = []
-    if cfg.n_rois != manifest.n_rois:
-        mismatches.append(f"n_rois: checkpoint {cfg.n_rois} vs manifest {manifest.n_rois}")
-    if cfg.series_len != manifest.series_len:
-        mismatches.append(
-            f"series_len: checkpoint {cfg.series_len} vs manifest {manifest.series_len}"
-        )
-    if cfg.classes != len(manifest.classes):
-        mismatches.append(
-            f"classes: checkpoint {cfg.classes} vs manifest {len(manifest.classes)}"
-        )
+    mismatches = [
+        f"{name}: checkpoint {getattr(model.config, name)} vs manifest {value}"
+        for name, value in _manifest_geometry(manifest).items()
+        if getattr(model.config, name) != value
+    ]
     if mismatches:
         raise ConfigError("checkpoint/manifest mismatch: " + "; ".join(mismatches))
     samples = load_dataset(args.manifest)

@@ -9,8 +9,9 @@ Series files: comma-delimited numeric text, one row per ROI, one column per
 time point, written with 17 significant digits.
 
 Connectome exports: either an n x n matrix with a header row of ROI labels,
-or an edge list with header "i,j,weight". Both round-trip through their
-readers within 1e-12 (floats are written with 17 significant digits).
+or an edge list with header "i,j,weight". Matrix exports round-trip through
+`load_connectome` within 1e-12 (floats are written with 17 significant
+digits); edge lists are write-only.
 """
 
 import json

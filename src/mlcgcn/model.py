@@ -368,8 +368,8 @@ def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
 
 
 def readout(gcn_out, params, cfg: ModelConfig, level):
-    """Mean-pool node encodings into one [..., 1 x e] row per level."""
-    pooled = ad.mean_axis(gcn_out, axis=-2, keepdims=True)
+    """Mean-pool node encodings [..., n x h] into one [..., e] embedding per level."""
+    pooled = ad.mean_axis(gcn_out, axis=-2)
     return ad.relu(ad.add(_dense(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
 
 
@@ -391,7 +391,6 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
     single = x.data.ndim == 2
     if single:
         x = ad.reshape(x, (1, *x.data.shape))
-    batch = x.data.shape[0]
     pearson = pearson_connectome(x)
     z = embed(x, params, cfg)
     _check_finite(z, "embedding")
@@ -411,17 +410,16 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
         encoded = gcn_forward(graph, pearson, params, cfg, k)
         embeddings.append(readout(encoded, params, cfg, k))
 
-    stacked = ad.reshape(ad.concat(embeddings, axis=-1), (batch, -1))
+    stacked = ad.concat(embeddings, axis=-1)  # [B x (encoded levels * e)]
     hidden = ad.relu(ad.add(ad.matmul(stacked, params["head.w1"]), params["head.b1"]))
     hidden = ad.dropout(hidden, cfg.dropout_rate, training, rng)
     logits = ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
     probs = ad.softmax_rows(logits)
     _check_finite(probs, "class probabilities")
 
-    lead = () if single else (batch,)
-    embeddings = [ad.reshape(e, (*lead, cfg.readout_dim)) for e in embeddings]
     if single:  # drop the batch axis of one again
         probs = ad.reshape(probs, (cfg.classes,))
+        embeddings = [ad.reshape(e, (cfg.readout_dim,)) for e in embeddings]
         adjacencies = [ad.reshape(a, a.data.shape[1:]) for a in adjacencies]
         pearson = Tensor(pearson.data[0])
     return probs, LevelOutputs(adjacencies, pearson, embeddings)

@@ -203,6 +203,22 @@ def test_dropout_statistics():
     assert abs(out.data.mean() - 1.0) < 0.02  # survivor scaling preserves the mean
 
 
+def test_dropout_is_a_mask_product_bit_for_bit():
+    rate, shape = 0.4, (5, 6)
+    rng = np.random.default_rng(11)
+    x = tensor(rng.normal(size=shape))
+    g = rng.normal(size=shape)
+    keep = np.random.default_rng(3).random(shape) >= rate
+    s = 1.0 / (1.0 - rate)
+    with ad.recording() as tape:
+        out = ad.dropout(x, rate, True, np.random.default_rng(3))
+        assert len(tape.records) == 1
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    # compared as raw bits, so the signed zeros of dropped negatives count too
+    np.testing.assert_array_equal(out.data.view(np.uint64), (x.data * keep * s).view(np.uint64))
+    np.testing.assert_array_equal(x.grad.view(np.uint64), (g * keep * s).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # backward / tape
 
@@ -370,7 +386,7 @@ OP_CASES = [
     ("transpose_3d", ad.transpose, (2, 3, 4)),
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
-    ("mean_axis", lambda p: ad.mean_axis(p, axis=1, keepdims=True), (3, 4)),
+    ("mean_axis", lambda p: ad.mean_axis(p, axis=1), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("avgpool", lambda p: moving_average(p, 3), (3, 5)),
     (
@@ -394,6 +410,46 @@ OP_CASES = [
     # repeated evaluations the finite-difference oracle performs
     ("dropout", lambda p: ad.dropout(p, 0.3, True, np.random.default_rng(7)), (3, 4)),
 ]
+
+
+# Each engine op called directly on its tensor inputs, with their shapes.
+POLICY_CASES = [
+    ("add", ad.add, [(3, 4), (4,)]),
+    ("sub", ad.sub, [(3, 4), (3, 4)]),
+    ("mul", ad.mul, [(3, 4), (3, 1)]),
+    ("relu", ad.relu, [(3, 4)]),
+    ("log", ad.log, [(3, 4)]),
+    ("clamp_min", lambda x: ad.clamp_min(x, 0.9), [(3, 4)]),
+    ("clamp", lambda x: ad.clamp(x, 0.8, 1.2), [(3, 4)]),
+    ("matmul", ad.matmul, [(3, 4), (4, 2)]),
+    ("bmm", ad.bmm, [(2, 3, 4), (2, 4, 2)]),
+    ("transpose", ad.transpose, [(2, 3, 4)]),
+    ("reshape", lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
+    ("concat", lambda a, b: ad.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
+    ("stack_rows", lambda a, b: ad.stack_rows([a, b]), [(3, 4), (3, 4)]),
+    ("sum_all", ad.sum_all, [(3, 4)]),
+    ("mean_axis", lambda x: ad.mean_axis(x, axis=-2), [(2, 3, 4)]),
+    ("softmax_rows", ad.softmax_rows, [(3, 4)]),
+    ("layer_norm", ad.layer_norm, [(3, 4), (4,), (4,)]),
+    ("conv1d_same", ad.conv1d_same, [(2, 6), (2, 3), (2,)]),
+    ("l2_normalize_rows", ad.l2_normalize_rows, [(3, 4)]),
+    ("dropout", lambda x: ad.dropout(x, 0.3, True, np.random.default_rng(5)), [(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes", POLICY_CASES, ids=[c[0] for c in POLICY_CASES])
+def test_op_records_iff_an_input_requires_grad(name, op, shapes):
+    data = [np.random.default_rng(i).uniform(0.5, 1.5, size=s) for i, s in enumerate(shapes)]
+    with ad.recording() as tape:
+        out = op(*(Tensor(d) for d in data))
+        assert not out.requires_grad
+        assert tape.records == []
+        for i in range(len(data)):
+            before = len(tape.records)
+            out = op(*(Tensor(d, requires_grad=(j == i)) for j, d in enumerate(data)))
+            assert out.requires_grad
+            assert len(tape.records) == before + 1
+            assert tape.records[-1][0] is out
 
 
 @pytest.mark.parametrize("name,op,shape", OP_CASES, ids=[c[0] for c in OP_CASES])

@@ -347,16 +347,16 @@ def test_gcn_weight_gradients():
 def test_readout_identical_rows_pool_to_single_row(cfg, params):
     row = derive_rng(14, "r").normal(size=cfg.gcn_hidden)
     gcn_out = Tensor(np.tile(row, (6, 1)))
-    pooled = ad.mean_axis(gcn_out, axis=0, keepdims=True)
-    np.testing.assert_allclose(pooled.data[0], row)
+    pooled = ad.mean_axis(gcn_out, axis=0)
+    np.testing.assert_allclose(pooled.data, row)
     out = readout(gcn_out, params, cfg, level=0)
-    assert out.data.shape == (1, cfg.readout_dim)
+    assert out.data.shape == (cfg.readout_dim,)
 
 
 def test_readout_size_independent_of_nodes(params, cfg):
     for n in (3, 6, 11):
         out = readout(Tensor(np.ones((n, cfg.gcn_hidden))), params, cfg, level=1)
-        assert out.data.shape == (1, cfg.readout_dim)
+        assert out.data.shape == (cfg.readout_dim,)
 
 
 @given(st.integers(0, 2**31 - 1))
