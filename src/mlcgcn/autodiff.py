@@ -7,7 +7,6 @@ such as parameters, that the tape reads but never produces.
 All computation is 64-bit so finite-difference gradient oracles stay tight.
 """
 
-import threading
 import warnings
 from contextlib import contextmanager
 
@@ -20,7 +19,7 @@ LAYERNORM_EPS = 1e-5
 LOG_FLOOR = 1e-12
 FINITE_DIFF_FLOOR = 1e-5
 
-_TLS = threading.local()
+_TAPE = None  # the active tape, or None outside `recording`
 
 
 class Tensor:
@@ -65,19 +64,18 @@ class Tape:
 
 
 def active_tape():
-    return getattr(_TLS, "tape", None)
+    return _TAPE
 
 
 @contextmanager
-def recording(tape=None):
-    """Activate a tape for the current thread; yields the tape."""
-    tape = tape if tape is not None else Tape()
-    prev = getattr(_TLS, "tape", None)
-    _TLS.tape = tape
+def recording():
+    """Activate a fresh tape until the block exits; yields the tape."""
+    global _TAPE
+    prev, _TAPE = _TAPE, Tape()
     try:
-        yield tape
+        yield _TAPE
     finally:
-        _TLS.tape = prev
+        _TAPE = prev
 
 
 def _as_tensor(x):
@@ -85,9 +83,8 @@ def _as_tensor(x):
 
 
 def _record(out, inputs, pull):
-    tape = getattr(_TLS, "tape", None)
-    if tape is not None:
-        tape.records.append((out, inputs, pull))
+    if _TAPE is not None:
+        _TAPE.records.append((out, inputs, pull))
 
 
 def _op(data, inputs, pull):
@@ -157,7 +154,7 @@ def mul(a, b):
 
 
 def relu(x):
-    return clamp_min(x, 0.0)
+    return clamp(x, 0.0, np.inf)
 
 
 def log(x):
@@ -167,16 +164,6 @@ def log(x):
         acc(x, g / x.data)
 
     return _op(np.log(x.data), (x,), pull)
-
-
-def clamp_min(x, floor):
-    """Elementwise max(x, floor); gradient flows only where x > floor."""
-    x = _as_tensor(x)
-
-    def pull(g, acc):
-        acc(x, g * (x.data > floor))
-
-    return _op(np.maximum(x.data, floor), (x,), pull)
 
 
 def clamp(x, lo, hi):
@@ -321,7 +308,7 @@ def softmax_rows(x):
     return _op(y, (x,), pull)
 
 
-def layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
+def layer_norm(x, gain, shift):
     """Normalize the last axis to mean 0 / variance 1, then apply gain+shift."""
     x, gain, shift = _as_tensor(x), _as_tensor(gain), _as_tensor(shift)
     d = x.data.shape[-1]
@@ -333,7 +320,7 @@ def layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
 
     def pull(g, acc):
@@ -360,8 +347,11 @@ def conv1d_same(x, kernels, bias):
     """Convolve each row of x [..., n x L] with each kernel [m x t], zero padded.
 
     Output is [..., n x m x L]; stride 1, odd t only, so the length stays L.
+    Only the kernels and bias are differentiated: x must be data.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
+    if x.requires_grad:
+        raise ContractError("conv1d_same does not differentiate its input series")
     if x.data.ndim < 2:
         raise ShapeError(f"conv1d_same expects an [..., n x L] input, got shape {x.data.shape}")
     if x.data.size == 0:
@@ -387,29 +377,21 @@ def conv1d_same(x, kernels, bias):
         if kernels.requires_grad:
             rows = win.reshape(-1, L, t)  # a view: the leading axes merge
             acc(kernels, np.matmul(g.reshape(-1, m, L), rows).sum(axis=0))
-        if x.requires_grad:
-            dwin = np.matmul(np.swapaxes(g, -1, -2), kernels.data)  # [..., n, L, t]
-            dxp = np.zeros(xp.shape)
-            for off in range(t):
-                dxp[..., off : off + L] += dwin[..., off]
-            acc(x, dxp[..., pad : pad + L])
 
     return _op(out_data, (x, kernels, bias), pull)
 
 
-def dropout(x, rate, training, rng=None):
+def dropout(x, rate, rng=None):
     """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
 
-    Identity when training is false or rate is 0; otherwise a product with
-    the constant mask keep/(1-rate).
+    Dropout is on iff an rng is given: the identity without one or at rate 0,
+    otherwise a product with the constant mask keep/(1-rate) drawn from it.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout in training mode needs a seeded rng")
     keep = rng.random(x.data.shape) >= rate
     return mul(x, Tensor(keep * (1.0 / (1.0 - rate))))
 

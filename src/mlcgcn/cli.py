@@ -8,8 +8,8 @@ override file values. Each subcommand takes only its own scopes: synth the
 synth.* keys, train and ablate the model.* and train.* keys (also in
 ablate --variant); any other key is a config error. Every run writes a
 resolved-config snapshot to its output directory. Exit codes: 0 success,
-1 verification/metric failure, 2 usage/config error. Logs go to stderr,
-data to files and stdout.
+1 verification/metric failure, 2 usage/config error (an output path that
+cannot be written included). Logs go to stderr, data to files and stdout.
 """
 
 import argparse
@@ -29,7 +29,6 @@ from .data import (
     load_dataset,
     load_manifest,
     mean_graph,
-    node_importance,
     parse_level_selector,
     write_dataset,
 )
@@ -42,7 +41,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .metrics import compute_metrics
+from .metrics import METRIC_LABELS, compute_metrics
 from .model import MLCGCN, ModelConfig
 from .training import (
     TABLE_VARIANTS,
@@ -250,8 +249,8 @@ def cmd_eval(args):
     report = compute_metrics(probs, truth)
     outdir = _out_dir(args)
     write_snapshot(outdir, "eval", {"manifest": args.manifest, "checkpoint": args.checkpoint})
-    lines = [f"{name} = {100.0 * value:.2f}" for name, value in
-             zip(("Acc", "AUC", "Spe", "Sen", "F1"), report.values())]
+    lines = [f"{name} = {100.0 * value:.2f}"
+             for name, value in zip(METRIC_LABELS, report.values())]
     text = "\n".join(lines) + "\n"
     (outdir / "metrics.txt").write_text(text, encoding="utf-8")
     print(text, end="")
@@ -289,10 +288,10 @@ def cmd_gradcheck(args):
                 f"gradcheck enforces a tiny config: {field_name} <= {limit}, "
                 f"got {getattr(cfg, field_name)}"
             )
+    outdir = _out_dir(args)
     t0 = time.perf_counter()
     results = run_gradcheck(cfg, args.tolerance, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    outdir = _out_dir(args)
     write_snapshot(outdir, "gradcheck", {"tolerance": args.tolerance, "seed": args.seed})
     width = max(len(name) for name, _, _ in results)
     lines = []
@@ -332,10 +331,7 @@ def cmd_export(args):
         export_connectome(mean, path, fmt="edge-list", fraction=args.fraction)
     else:
         path = outdir / "node_importance.csv"
-        lines = ["roi,score"]
-        for roi, score in node_importance(mean)[: args.top]:
-            lines.append(f"{roi},{score:.17g}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        export_connectome(mean, path, fmt="node-importance", top=args.top)
     print(path)
     return 0
 
@@ -416,7 +412,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, DataError, ShapeError) as exc:
+    except (ConfigError, ContractError, DataError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingError, ForwardError, OracleError) as exc:

@@ -8,10 +8,10 @@ label, path}]}; scan paths are relative to the manifest's directory.
 Series files: comma-delimited numeric text, one row per ROI, one column per
 time point, written with 17 significant digits.
 
-Connectome exports: either an n x n matrix with a header row of ROI labels,
-or an edge list with header "i,j,weight". Matrix exports round-trip through
-`load_connectome` within 1e-12 (floats are written with 17 significant
-digits); edge lists are write-only.
+Connectome exports, the same text under one header line, in three formats:
+an n x n matrix under ROI labels, an "i,j,weight" edge list, or "roi,score"
+node-importance rows. Matrix exports round-trip through `load_connectome`
+within 1e-12; the other two are write-only.
 """
 
 import json
@@ -25,6 +25,9 @@ from .errors import ConfigError, ContractError, DataError
 from .seeding import derive_rng
 
 FLOAT_FMT = "%.17g"
+
+# Loading multiplier of the planted hub ROIs; the other ROIs load 0.6.
+HUB_GAIN = 2.2
 
 
 @dataclass
@@ -82,7 +85,6 @@ class SyntheticSpec:
     noise: float = 0.5
     seed: int = 0
     hubs: int = 2
-    hub_gain: float = 2.2
 
     def __post_init__(self):
         if self.classes < 2:
@@ -107,7 +109,7 @@ def _class_mixing(spec: SyntheticSpec):
     n, r = spec.n_rois, spec.latent_rank
     shared = derive_rng(spec.seed, "latent-shared")
     g = np.full(n, 0.6)
-    g[: spec.hubs] = spec.hub_gain
+    g[: spec.hubs] = HUB_GAIN
     base = shared.normal(0.0, 0.25, size=(n, r - 1)) if r > 1 else np.zeros((n, 0))
     mixings = []
     for c in range(spec.classes):
@@ -156,17 +158,22 @@ def generate_synthetic(spec: SyntheticSpec):
 # on-disk datasets
 
 
-def write_series(path, series):
-    np.savetxt(path, np.asarray(series, dtype=np.float64), delimiter=",", fmt=FLOAT_FMT)
-
-
-def read_series(path):
+def _write_csv(path, rows, fmt=FLOAT_FMT, header=""):
+    """Write 2-D `rows` under an optional header; `fmt` is per value or per row."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        np.savetxt(path, rows, delimiter=",", fmt=fmt, header=header, comments="")
     except OSError as exc:
-        raise DataError(f"cannot read series file {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_csv(path, what, header=False):
+    """A 2-D float array from a CSV file, skipping its header line if it has one."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2, dtype=np.float64)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise DataError(f"cannot parse series file {path}: {exc}") from exc
+        raise DataError(f"cannot parse {what} {path}: {exc}") from exc
 
 
 def write_dataset(samples, truth, manifest: DatasetManifest, outdir, force=False):
@@ -178,7 +185,7 @@ def write_dataset(samples, truth, manifest: DatasetManifest, outdir, force=False
     records = []
     for s in samples:
         rel = f"series/{s.scan_id}.csv"
-        write_series(out / rel, s.series)
+        _write_csv(out / rel, s.series)
         records.append(
             ScanRecord(id=s.scan_id, subject=s.subject_id, label=manifest.classes[s.label], path=rel)
         )
@@ -232,7 +239,7 @@ def load_dataset(manifest_path):
         fpath = base / rec.path
         if not fpath.exists():
             raise DataError(f"scan {rec.id}: series file {fpath} does not exist")
-        series = read_series(fpath)
+        series = _read_csv(fpath, "series file")
         if series.shape[0] != manifest.n_rois:
             raise DataError(
                 f"scan {rec.id}: expected {manifest.n_rois} ROI rows, found {series.shape[0]}"
@@ -345,37 +352,27 @@ def node_importance(a):
     return [(int(i), float(scores[i])) for i in order]
 
 
-def export_connectome(a, path, fmt="matrix", fraction=1.0):
+def export_connectome(a, path, fmt="matrix", fraction=1.0, top=None):
     """Write a connectome as delimited text.
 
     matrix: header row of ROI labels (roi0, roi1, ...) then n rows of n values.
     edge-list: header "i,j,weight" then one row per top_edges(a, fraction)
     edge, skipping exact-zero weights (a zero matrix gives an empty body).
+    node-importance: header "roi,score" then the first `top` rows of
+    node_importance(a) (every node when `top` is None).
     """
     a = _as_matrix(a)
-    path = Path(path)
-    try:
-        if fmt == "matrix":
-            lines = [",".join(f"roi{i}" for i in range(a.shape[0]))]
-            for row in a:
-                lines.append(",".join(FLOAT_FMT % v for v in row))
-        elif fmt == "edge-list":
-            lines = ["i,j,weight"]
-            for i, j, w in top_edges(a, fraction):
-                if w != 0.0:
-                    lines.append(f"{i},{j},{FLOAT_FMT % w}")
-        else:
-            raise ConfigError(f"unknown export format {fmt!r}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    if fmt == "matrix":
+        _write_csv(path, a, header=",".join(f"roi{i}" for i in range(a.shape[0])))
+    elif fmt == "edge-list":
+        edges = [edge for edge in top_edges(a, fraction) if edge[2] != 0.0]
+        _write_csv(path, np.reshape(edges, (-1, 3)), f"%d,%d,{FLOAT_FMT}", "i,j,weight")
+    elif fmt == "node-importance":
+        _write_csv(path, node_importance(a)[:top], f"%d,{FLOAT_FMT}", "roi,score")
+    else:
+        raise ConfigError(f"unknown export format {fmt!r}")
 
 
 def load_connectome(path):
     """Read back a matrix export (skipping its header row)."""
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-    except OSError as exc:
-        raise DataError(f"cannot read connectome {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"cannot parse connectome {path}: {exc}") from exc
+    return _read_csv(path, "connectome", header=True)

@@ -50,7 +50,7 @@ def cross_entropy(probs, targets: BatchTargets):
         raise ContractError(
             f"probs shape {probs.data.shape} does not match targets {targets.probs.shape}"
         )
-    logp = ad.log(ad.clamp_min(probs, LOG_FLOOR))
+    logp = ad.log(ad.clamp(probs, LOG_FLOOR, np.inf))
     weighted = ad.mul(logp, Tensor(targets.probs))
     return ad.mul(ad.sum_all(weighted), Tensor(-1.0 / n))
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 METRIC_NAMES = ("acc", "auc", "spe", "sen", "f1")
+METRIC_LABELS = ("Acc", "AUC", "Spe", "Sen", "F1")
 
 
 @dataclass
@@ -49,14 +50,17 @@ class FoldReport:
         table = np.array([r.values() for r in self.folds])
         return MetricReport(*table.std(axis=0))
 
+    def mean_std_cells(self):
+        """One `mean±std` cell per metric, as percentages with 2 decimals."""
+        mean, std = self.mean(), self.std()
+        return [f"{m}±{s}" for m, s in zip(mean.percent_cells(), std.percent_cells())]
+
     def to_text(self) -> str:
         """Byte-stable table: percentages with 2 decimals, mean +/- std last."""
-        lines = ["fold,Acc,AUC,Spe,Sen,F1"]
+        lines = [",".join(["fold", *METRIC_LABELS])]
         for i, rep in enumerate(self.folds, start=1):
             lines.append(",".join([str(i)] + rep.percent_cells()))
-        mean, std = self.mean(), self.std()
-        agg = [f"{m}±{s}" for m, s in zip(mean.percent_cells(), std.percent_cells())]
-        lines.append(",".join(["mean±std"] + agg))
+        lines.append(",".join(["mean±std"] + self.mean_std_cells()))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

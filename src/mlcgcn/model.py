@@ -301,7 +301,7 @@ def _multi_head_attention(x, params, prefix, heads):
     return _dense(ad.transpose(merged_t), params[prefix + "wo"])
 
 
-def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None):
+def sfe_forward(h_in, params, cfg: ModelConfig, level, rng=None):
     """Spatial pathway: one transformer-encoder layer over the transposed features.
 
     The [n x l] input is transposed to [l x n] (tokens are embedding positions,
@@ -312,10 +312,10 @@ def sfe_forward(h_in, params, cfg: ModelConfig, level, training=False, rng=None)
     x = ad.transpose(h_in)  # [l x n]
     attn_in = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
     attn = _multi_head_attention(attn_in, params, p, cfg.attention_heads)
-    attn = ad.dropout(attn, cfg.dropout_rate, training, rng)
+    attn = ad.dropout(attn, cfg.dropout_rate, rng)
     x = ad.add(x, attn)
     ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    ffn = ad.dropout(_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, training, rng)
+    ffn = ad.dropout(_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
     x = ad.add(x, ffn)
     x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
     return ad.transpose(x)  # back to [n x l]
@@ -339,7 +339,7 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
     return ad.layer_norm(out, params[p + "norm.gain"], params[p + "norm.shift"])
 
 
-def stfe_forward(h_in, level, params, cfg: ModelConfig, training=False, rng=None):
+def stfe_forward(h_in, level, params, cfg: ModelConfig, rng=None):
     """One feature-extraction level: run the enabled pathways, fuse, MLP."""
     if not 1 <= level <= cfg.levels:
         raise ConfigError(f"level must be in [1, {cfg.levels}], got {level}")
@@ -347,7 +347,7 @@ def stfe_forward(h_in, level, params, cfg: ModelConfig, training=False, rng=None
     if cfg.use_tfe:
         parts.append(tfe_forward(h_in, params, cfg, level))
     if cfg.use_sfe:
-        parts.append(sfe_forward(h_in, params, cfg, level, training, rng))
+        parts.append(sfe_forward(h_in, params, cfg, level, rng))
     fused = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
     return _mlp2(fused, params, f"stfe{level}.fuse.")
 
@@ -378,14 +378,15 @@ def _check_finite(tensor, what):
         raise ForwardError(f"non-finite values in {what}")
 
 
-def predict(x, params, cfg: ModelConfig, training=False, rng=None):
+def predict(x, params, cfg: ModelConfig, rng=None):
     """Full forward pass for a batch of scans [B x n x L] or one scan [n x L].
 
     Returns (class probabilities [B x c], LevelOutputs). One scan runs as a
     batch of one whose batch axis is dropped again on the way out: the
     probabilities are [c] and every LevelOutputs tensor loses its leading B.
     The generated graphs of all K levels are produced regardless of the
-    encoded subset so losses and exports can see them.
+    encoded subset so losses and exports can see them. Dropout is on iff
+    `rng` is given.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     single = x.data.ndim == 2
@@ -398,7 +399,7 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
     adjacencies = []
     h = z
     for level in range(1, cfg.levels + 1):
-        h = stfe_forward(h, level, params, cfg, training, rng)
+        h = stfe_forward(h, level, params, cfg, rng)
         _check_finite(h, f"features at level {level}")
         adj = generate_adjacency(h)
         _check_finite(adj, f"adjacency at level {level}")
@@ -412,7 +413,7 @@ def predict(x, params, cfg: ModelConfig, training=False, rng=None):
 
     stacked = ad.concat(embeddings, axis=-1)  # [B x (encoded levels * e)]
     hidden = ad.relu(ad.add(ad.matmul(stacked, params["head.w1"]), params["head.b1"]))
-    hidden = ad.dropout(hidden, cfg.dropout_rate, training, rng)
+    hidden = ad.dropout(hidden, cfg.dropout_rate, rng)
     logits = ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
     probs = ad.softmax_rows(logits)
     _check_finite(probs, "class probabilities")
@@ -434,8 +435,8 @@ class MLCGCN:
             params = init_params(config, rng if rng is not None else np.random.default_rng(0))
         self.params = params
 
-    def predict(self, x, training=False, rng=None):
-        return predict(x, self.params, self.config, training=training, rng=rng)
+    def predict(self, x, rng=None):
+        return predict(x, self.params, self.config, rng=rng)
 
     def save(self, path):
         """Write a self-describing JSON checkpoint (canonical key order).

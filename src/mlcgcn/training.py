@@ -2,8 +2,7 @@
 the ablation harness, and the finite-difference gradient check.
 
 Every fold owns a private model, optimizer, and RNG streams derived from
-(seed, fold index), so runs are bit-reproducible end to end and folds could
-run concurrently without sharing state.
+(seed, fold index), so runs are bit-reproducible end to end.
 """
 
 import logging
@@ -16,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, TrainingError
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
-from .metrics import FoldReport, compute_metrics, stratified_kfold
+from .metrics import METRIC_LABELS, FoldReport, compute_metrics, stratified_kfold
 from .model import MLCGCN, ModelConfig
 from .seeding import derive_rng, derive_seed
 
@@ -103,16 +102,15 @@ def mixup_batch(series_batch, targets: BatchTargets, mixup_alpha, rng):
 
     One Beta(mixup_alpha, mixup_alpha) coefficient per batch mixes both the
     time series and the target rows; single-sample batches (or alpha 0) pass
-    through untouched.
+    through untouched. The series come back as one [B x n x L] array.
     """
-    n = len(series_batch)
+    series = np.asarray(series_batch)
+    n = len(series)
     if n < 2 or mixup_alpha <= 0:
-        return list(series_batch), targets, 1.0
+        return series, targets, 1.0
     lam = float(rng.beta(mixup_alpha, mixup_alpha))
     perm = rng.permutation(n)
-    mixed_series = [
-        lam * series_batch[i] + (1.0 - lam) * series_batch[perm[i]] for i in range(n)
-    ]
+    mixed_series = lam * series + (1.0 - lam) * series[perm]
     mixed_targets = BatchTargets(lam * targets.probs + (1.0 - lam) * targets.probs[perm])
     return mixed_series, mixed_targets, lam
 
@@ -133,15 +131,15 @@ def class_balanced_batches(labels, batch_size, rng):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
-def batch_loss(model: MLCGCN, series, targets: BatchTargets, alpha, training=False, rng=None):
+def batch_loss(model: MLCGCN, series, targets: BatchTargets, alpha, rng=None):
     """Composite objective of one batch; returns (ce, group, total) tensors.
 
-    One forward over the stacked scans [B x n x L] gives the probability rows
-    for the cross entropy and the per-level graph stacks for alpha times the
-    group penalty. The group term is skipped entirely when alpha is 0
-    (reported as 0).
+    One forward over the stacked scans [B x n x L], with dropout on iff `rng`
+    is given, gives the probability rows for the cross entropy and the
+    per-level graph stacks for alpha times the group penalty. The group term
+    is skipped entirely when alpha is 0 (reported as 0).
     """
-    probs, levels = model.predict(np.stack(series), training=training, rng=rng)
+    probs, levels = model.predict(np.asarray(series), rng=rng)
     ce = cross_entropy(probs, targets)
     if alpha > 0:
         grp = group_loss(levels.adjacencies, targets.dominant, model.config.levels)
@@ -167,9 +165,7 @@ def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
         targets = BatchTargets.from_labels([samples[i].label for i in batch], classes)
         series, targets, _lam = mixup_batch(series, targets, cfg.mixup_alpha, rng_mixup)
         with ad.recording():
-            ce, grp, loss = batch_loss(
-                model, series, targets, cfg.alpha, training=True, rng=rng_dropout
-            )
+            ce, grp, loss = batch_loss(model, series, targets, cfg.alpha, rng=rng_dropout)
             if not np.isfinite(loss.data):
                 raise TrainingError(f"epoch {epoch} aborted: non-finite loss in batch {batch_no}")
             ad.zero_grads(model.params)
@@ -316,13 +312,12 @@ def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, varian
 
 def ablation_table(rows) -> str:
     """Comparison table: one line per variant, metrics as mean +/- std."""
-    lines = ["variant,Acc,AUC,Spe,Sen,F1,group_dissimilarity"]
+    lines = [",".join(["variant", *METRIC_LABELS, "group_dissimilarity"])]
     for row in rows:
         if row.failed:
             lines.append(f"{row.name},failed: {row.error},,,,,")
             continue
-        mean, std = row.report.mean(), row.report.std()
-        cells = [f"{m}±{s}" for m, s in zip(mean.percent_cells(), std.percent_cells())]
+        cells = row.report.mean_std_cells()
         lines.append(",".join([row.name, *cells, f"{row.group_dissimilarity:.6f}"]))
     return "\n".join(lines) + "\n"
 
@@ -349,11 +344,12 @@ def gradcheck_config(n_rois=6, series_len=20, levels=2):
     )
 
 
-def run_gradcheck(cfg: ModelConfig, tolerance, seed=0, eps=1e-6):
+def run_gradcheck(cfg: ModelConfig, tolerance, seed=0):
     """Finite-difference check of every parameter block; returns result rows.
 
     The objective is the batch loss with alpha 1, dropout and mixup off, over
-    a deterministic batch of two random scans per class.
+    a deterministic batch of two random scans per class; the central
+    differences step by 1e-6.
     """
     base = MLCGCN(cfg, rng=derive_rng(seed, "gradcheck-init")).params
     rng = derive_rng(seed, "gradcheck-data")
@@ -370,6 +366,6 @@ def run_gradcheck(cfg: ModelConfig, tolerance, seed=0, eps=1e-6):
         def block_loss(p, _name=name):
             return batch_loss(MLCGCN(cfg, params={**base, _name: p}), series, targets, 1.0)[2]
 
-        err = ad.finite_diff_check(block_loss, tensor, eps=eps)
+        err = ad.finite_diff_check(block_loss, tensor, eps=1e-6)
         results.append((name, err, err < tolerance))
     return results

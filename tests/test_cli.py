@@ -383,6 +383,21 @@ def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, cap
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", *SYNTH_ARGS],
+    ["train", "--manifest", "{manifest}", *TRAIN_ARGS],
+    ["gradcheck"],
+], ids=["synth", "train", "gradcheck"])
+def test_unwritable_out_is_usage_error(dataset_dir, tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub"
+    rc = main([arg.format(manifest=dataset_dir / "manifest.json") for arg in argv]
+              + ["--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+
+
 def test_export_mean_graph_matches_per_scan_forwards(dataset_dir, trained_dir, tmp_path):
     # 30 scans: two batched slices (16 + 14) against 30 single-scan forwards.
     out = tmp_path / "exp"

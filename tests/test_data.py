@@ -1,6 +1,7 @@
 """Dataset I/O, the synthetic generator, and connectome exports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,12 @@ def test_edge_list_zero_matrix_empty_body(tmp_path):
     export_connectome(np.zeros((4, 4)), path, fmt="edge-list", fraction=0.5)
     lines = path.read_text().strip().splitlines()
     assert lines == ["i,j,weight"]
+
+
+def test_node_importance_export_to_unwritable_path_names_it(tmp_path):
+    path = tmp_path / "missing" / "node_importance.csv"
+    with pytest.raises(DataError, match=re.escape(f"cannot write {path}")):
+        export_connectome(np.eye(3), path, fmt="node-importance", top=2)
 
 
 def test_export_deterministic_bytes(tmp_path):

@@ -386,8 +386,8 @@ def test_predict_probability_contract(cfg, params, x):
 
 
 def test_predict_deterministic_in_inference_mode(cfg, params, x):
-    a, _ = predict(x, params, cfg, training=False)
-    b, _ = predict(x, params, cfg, training=False)
+    a, _ = predict(x, params, cfg)
+    b, _ = predict(x, params, cfg)
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -430,8 +430,8 @@ def test_full_model_gradient_sample(cfg, params, x):
     target = Tensor(np.array([1.0, 0.0, 0.0]))
 
     def loss_of(p):
-        probs, _ = predict(x, p, cfg, training=False)
-        return ad.mul(ad.sum_all(ad.mul(ad.log(ad.clamp_min(probs, 1e-12)), target)), Tensor(-1.0))
+        probs, _ = predict(x, p, cfg)
+        return ad.mul(ad.sum_all(ad.mul(ad.log(ad.clamp(probs, 1e-12, np.inf)), target)), Tensor(-1.0))
 
     for name in ("stfe1.fuse.w1", "head.w1"):
         def f(p, _n=name):

@@ -132,10 +132,11 @@ def test_mixup_midpoint():
 
     series = [np.zeros((2, 2)), np.ones((2, 2))]
     targets = BatchTargets.from_labels([0, 1], 2)
-    mixed, mixed_targets, lam = mixup_batch(series, targets, 0.2, FixedRng())
-    assert lam == 0.5
-    np.testing.assert_array_equal(mixed[0], np.full((2, 2), 0.5))
-    np.testing.assert_array_equal(mixed_targets.probs, np.full((2, 2), 0.5))
+    for batch in (series, np.stack(series)):  # a list of scans or one [B x n x L] array
+        mixed, mixed_targets, lam = mixup_batch(batch, targets, 0.2, FixedRng())
+        assert lam == 0.5
+        np.testing.assert_array_equal(mixed, np.full((2, 2, 2), 0.5))
+        np.testing.assert_array_equal(mixed_targets.probs, np.full((2, 2), 0.5))
 
 
 @given(st.integers(0, 2**31 - 1))
