@@ -181,6 +181,8 @@ def write_dataset(samples, truth, manifest: DatasetManifest, outdir, force=False
     out = Path(outdir)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
+    for stale in [*out.glob("series/*.csv"), *out.glob("connectome_*.csv"), out / "manifest.json"]:
+        stale.unlink(missing_ok=True)  # only files this format writes, so none outlive a rewrite
     (out / "series").mkdir(parents=True, exist_ok=True)
     records = []
     for s in samples:
@@ -207,14 +209,17 @@ def load_manifest(path) -> DatasetManifest:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     try:
         scans = [ScanRecord(**rec) for rec in doc["scans"]]
-        manifest = DatasetManifest(
-            classes=list(doc["classes"]),
-            n_rois=int(doc["n_rois"]),
-            series_len=int(doc["series_len"]),
-            scans=scans,
-        )
+        manifest = DatasetManifest(doc["classes"], doc["n_rois"], doc["series_len"], scans)
     except (KeyError, TypeError) as exc:
         raise DataError(f"manifest {path} is missing required fields: {exc}") from exc
+    for name in ("n_rois", "series_len"):
+        value = getattr(manifest, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DataError(f"manifest {path}: {name} must be a positive integer, got {value!r}")
+    classes = manifest.classes
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes)):
+        raise DataError(f"manifest {path}: classes must be a list of distinct strings, got {classes!r}")
     seen = set()
     for rec in scans:
         if rec.id in seen:

@@ -9,6 +9,7 @@ readout embeddings.
 """
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -19,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ForwardError, ShapeError
 
-CHECKPOINT_FORMAT = "mlcgcn-checkpoint-v1"
+CHECKPOINT_FORMAT = "mlcgcn-checkpoint-v2"
 
 
 def _is_int(value):
@@ -123,71 +124,58 @@ def positional_encoding(n_tokens, dim):
     return Tensor(pe)
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Name -> shape of every parameter block, in creation order.
 
+    The one definition of the parameter layout: `init_params` fills it and
+    `MLCGCN.load` checks a checkpoint against it.
+    """
+    n, L, l = cfg.n_rois, cfg.series_len, cfg.embed_len
+    m, t, h = cfg.conv_kernels, cfg.kernel_size, cfg.hidden_size
+    g, e = cfg.gcn_hidden, cfg.readout_dim
 
-def _zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
+    def norm(prefix, d):  # a layer norm's gain and shift
+        return {prefix + "gain": (d,), prefix + "shift": (d,)}
 
+    def mlp2(prefix, d_in, hidden, d_out):  # the blocks `_mlp2` reads
+        return {prefix + "w1": (d_in, hidden), prefix + "b1": (hidden,),
+                prefix + "w2": (hidden, d_out), prefix + "b2": (d_out,)}
 
-def _ones(shape):
-    return Tensor(np.ones(shape), requires_grad=True)
+    shapes = {"embed.kernels": (m, t), "embed.bias": (m,), "embed.w": (m * L, l)}
+    for i in range(1, cfg.levels + 1):
+        if cfg.use_sfe:
+            p = f"stfe{i}.sfe."
+            shapes.update(norm(p + "ln1.", n))
+            shapes.update({p + name: (n, n) for name in ("wq", "wk", "wv", "wo")})
+            shapes.update({**norm(p + "ln2.", n), **mlp2(p + "ffn.", n, h, n)})
+            shapes.update(norm(p + "ln_out.", n))
+        if cfg.use_tfe:
+            p = f"stfe{i}.tfe."
+            shapes.update({p + "wt": (l, l), p + "ws": (l, l), **mlp2(p + "mlp.", l, l, l)})
+            shapes.update(norm(p + "norm.", l))
+        shapes.update(mlp2(f"stfe{i}.fuse.", l, l, l))
+    for k in cfg.gcn_levels:
+        shapes.update({f"gcn{k}.w0": (n, g), f"gcn{k}.w1": (g, g),
+                       f"readout{k}.w": (g, e), f"readout{k}.b": (e,)})
+    shapes.update(mlp2("head.", len(cfg.gcn_levels) * e, h, cfg.classes))
+    return shapes
 
 
 def init_params(cfg: ModelConfig, rng) -> dict:
     """Build the full parameter dictionary for a config.
 
-    The set of names and shapes is a pure function of the config; values are
-    drawn with uniform fan-in scaling, biases start at zero.
+    Blocks follow `param_shapes` order. 2-D blocks are drawn uniform in
+    +-1/sqrt(fan_in), fan_in being the row count (the kernel width for
+    `embed.kernels`); `.gain` vectors start at one, other vectors at zero.
     """
-    n, L, l = cfg.n_rois, cfg.series_len, cfg.embed_len
-    m, t, h = cfg.conv_kernels, cfg.kernel_size, cfg.hidden_size
     params = {}
-    params["embed.kernels"] = _uniform(rng, t, (m, t))
-    params["embed.bias"] = _zeros((m,))
-    params["embed.w"] = _uniform(rng, m * L, (m * L, l))
-    for i in range(1, cfg.levels + 1):
-        if cfg.use_sfe:
-            p = f"stfe{i}.sfe."
-            params[p + "ln1.gain"] = _ones((n,))
-            params[p + "ln1.shift"] = _zeros((n,))
-            for name in ("wq", "wk", "wv", "wo"):
-                params[p + name] = _uniform(rng, n, (n, n))
-            params[p + "ln2.gain"] = _ones((n,))
-            params[p + "ln2.shift"] = _zeros((n,))
-            params[p + "ffn.w1"] = _uniform(rng, n, (n, h))
-            params[p + "ffn.b1"] = _zeros((h,))
-            params[p + "ffn.w2"] = _uniform(rng, h, (h, n))
-            params[p + "ffn.b2"] = _zeros((n,))
-            params[p + "ln_out.gain"] = _ones((n,))
-            params[p + "ln_out.shift"] = _zeros((n,))
-        if cfg.use_tfe:
-            p = f"stfe{i}.tfe."
-            params[p + "wt"] = _uniform(rng, l, (l, l))
-            params[p + "ws"] = _uniform(rng, l, (l, l))
-            params[p + "mlp.w1"] = _uniform(rng, l, (l, l))
-            params[p + "mlp.b1"] = _zeros((l,))
-            params[p + "mlp.w2"] = _uniform(rng, l, (l, l))
-            params[p + "mlp.b2"] = _zeros((l,))
-            params[p + "norm.gain"] = _ones((l,))
-            params[p + "norm.shift"] = _zeros((l,))
-        p = f"stfe{i}.fuse."
-        params[p + "w1"] = _uniform(rng, l, (l, l))
-        params[p + "b1"] = _zeros((l,))
-        params[p + "w2"] = _uniform(rng, l, (l, l))
-        params[p + "b2"] = _zeros((l,))
-    for k in cfg.gcn_levels:
-        params[f"gcn{k}.w0"] = _uniform(rng, n, (n, cfg.gcn_hidden))
-        params[f"gcn{k}.w1"] = _uniform(rng, cfg.gcn_hidden, (cfg.gcn_hidden, cfg.gcn_hidden))
-        params[f"readout{k}.w"] = _uniform(rng, cfg.gcn_hidden, (cfg.gcn_hidden, cfg.readout_dim))
-        params[f"readout{k}.b"] = _zeros((cfg.readout_dim,))
-    width = len(cfg.gcn_levels) * cfg.readout_dim
-    params["head.w1"] = _uniform(rng, width, (width, h))
-    params["head.b1"] = _zeros((h,))
-    params["head.w2"] = _uniform(rng, h, (h, cfg.classes))
-    params["head.b2"] = _zeros((cfg.classes,))
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1] if name == "embed.kernels" else shape[0])
+            value = rng.uniform(-bound, bound, size=shape)
+        else:
+            value = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -439,37 +427,36 @@ class MLCGCN:
         return predict(x, self.params, self.config, rng=rng)
 
     def save(self, path):
-        """Write a self-describing JSON checkpoint (canonical key order).
+        """Write the checkpoint: one canonical JSON header line, then raw values.
 
-        Floats are serialized with full round-trip precision, so reloading
-        reproduces bit-identical predictions and re-saving reproduces
-        identical bytes.
+        The header holds the format, the config and the `[name, shape]` of
+        every block in `param_shapes` order; the body is each block's
+        little-endian float64 bytes in that order. Reloading reproduces
+        bit-identical predictions and re-saving reproduces identical bytes.
         """
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "config": asdict(self.config),
-            "params": {
-                name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-                for name, p in self.params.items()
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        names = list(param_shapes(self.config))
+        blocks = [[name, list(self.params[name].data.shape)] for name in names]
+        header = {"format": CHECKPOINT_FORMAT, "config": asdict(self.config), "blocks": blocks}
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            for name in names:
+                fh.write(np.ascontiguousarray(self.params[name].data, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path):
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                body = fh.read()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unrecognized checkpoint format in {path}")
-        lacking = sorted({"config", "params"} - doc.keys())
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != CHECKPOINT_FORMAT:
+            raise ConfigError(f"checkpoint {path} has format {found!r}, not {CHECKPOINT_FORMAT!r}")
+        lacking = sorted({"config", "blocks"} - header.keys())
         if lacking:
             raise ConfigError(f"checkpoint {path} lacks {lacking}")
-        keys = doc["config"].keys()
+        keys = header["config"].keys()
         names = {f.name for f in fields(ModelConfig)}
         missing, unknown = sorted(names - keys), sorted(keys - names)
         if missing or unknown:
@@ -478,30 +465,30 @@ class MLCGCN:
                 f"missing keys {missing}, unknown keys {unknown}"
             )
         for f in fields(ModelConfig):
-            value = doc["config"][f.name]
+            value = header["config"][f.name]
             if not _JSON_CONFIG_TYPES[f.type](value):
                 raise ConfigError(
                     f"checkpoint config key {f.name!r} in {path} has a value of the wrong type: "
                     f"{value!r}"
                 )
-        cfg = ModelConfig(**doc["config"])
-        params = {}
-        for name, entry in doc["params"].items():
-            try:
-                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"checkpoint block {name!r} in {path} needs a 'shape' and 'data' "
-                    f"that fits it: {exc!r}"
-                ) from exc
-            params[name] = Tensor(arr, requires_grad=True)
-        expected = init_params(cfg, np.random.default_rng(0))
-        if params.keys() != expected.keys():
+        cfg = ModelConfig(**header["config"])
+        shapes = param_shapes(cfg)
+        blocks = header["blocks"]
+        pairs = isinstance(blocks, list) and all(isinstance(b, list) and len(b) == 2 for b in blocks)
+        if not pairs or [name for name, _ in blocks] != list(shapes):
             raise ConfigError(f"checkpoint parameter names do not match the config in {path}")
-        for name, p in params.items():
-            got, want = p.data.shape, expected[name].data.shape
-            if got != want:
+        for name, shape in blocks:
+            if shape != list(shapes[name]):
                 raise ConfigError(
-                    f"checkpoint block {name!r} has shape {got}, the config needs {want} in {path}"
+                    f"checkpoint block {name!r} has shape {shape}, "
+                    f"the config needs {list(shapes[name])} in {path}"
                 )
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if len(body) != 8 * sum(sizes):
+            raise ConfigError(f"checkpoint body in {path} has {len(body)} bytes, not {8 * sum(sizes)}")
+        values = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
+        params = {  # astype copies: every block owns a writeable C-contiguous array
+            name: Tensor(v.reshape(shape).astype(np.float64), requires_grad=True)
+            for (name, shape), v in zip(shapes.items(), values)
+        }
         return cls(cfg, params=params)

@@ -94,6 +94,23 @@ def test_synth_force_overwrites(tmp_path):
     assert main(["synth", "--out", str(out), "--force", *SYNTH_ARGS]) == 0
 
 
+def test_synth_force_removes_the_old_datasets_files(tmp_path):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), *SYNTH_ARGS, "--set", "synth.per_class=4"]) == 0
+    (out / "notes.txt").write_text("kept")
+    smaller = [*SYNTH_ARGS, "--set", "synth.classes=2", "--set", "synth.per_class=2"]
+    assert main(["synth", "--out", str(out), "--force", *smaller]) == 0
+    scans = load_manifest(out / "manifest.json").scans
+    assert len(scans) == 4
+    assert sorted(p.name for p in (out / "series").iterdir()) == sorted(
+        f"{s.id}.csv" for s in scans
+    )
+    assert sorted(p.name for p in out.glob("connectome_*.csv")) == [
+        "connectome_class0.csv", "connectome_class1.csv",
+    ]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "x"), "--set", "synth.bogus=1"])
     assert rc == 2
@@ -216,8 +233,8 @@ def test_train_levels_flag_controls_depth(dataset_dir, tmp_path):
         "--out", str(out), *TRAIN_ARGS, "--set", "model.levels=1",
     ])
     assert rc == 0
-    ckpt = json.loads((out / "fold0.ckpt").read_text())
-    assert ckpt["config"]["levels"] == 1
+    header = json.loads((out / "fold0.ckpt").read_bytes().split(b"\n", 1)[0])
+    assert header["config"]["levels"] == 1
 
 
 def test_train_ablate_flag_removed(dataset_dir, tmp_path):
@@ -447,6 +464,16 @@ def test_empty_manifest_is_usage_error(dataset_dir, trained_dir, tmp_path, capsy
                "--manifest", str(empty), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "the dataset lists no scans" in capsys.readouterr().err
+
+
+def test_train_malformed_manifest_geometry_is_usage_error(dataset_dir, tmp_path, capsys):
+    doc = json.loads((dataset_dir / "manifest.json").read_text())
+    doc["n_rois"] = "abc"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["train", "--manifest", str(bad), "--out", str(tmp_path / "out"), *TRAIN_ARGS])
+    assert rc == 2
+    assert "n_rois must be a positive integer" in capsys.readouterr().err
 
 
 def test_export_level_checked_before_checkpoint(dataset_dir, tmp_path, capsys):

@@ -138,6 +138,20 @@ def test_manifest_duplicate_scan_id_names_it(tmp_path):
         load_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_rois", "abc"), ("n_rois", [8]), ("n_rois", 20.7), ("n_rois", True), ("n_rois", 0),
+    ("series_len", "30"), ("series_len", -1), ("classes", "ab"), ("classes", ["a", "a"]),
+    ("classes", ["a", 1]),
+])
+def test_manifest_malformed_geometry_names_the_field(tmp_path, name, value):
+    manifest_path, _ = _write_tiny_dataset(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    doc[name] = value
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=name):
+        load_manifest(manifest_path)
+
+
 def test_dataset_missing_file_names_scan(tmp_path):
     manifest_path, _ = _write_tiny_dataset(tmp_path)
     victim = next((tmp_path / "data" / "series").iterdir())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcgcn import autodiff as ad
+from mlcgcn import model as model_module
 from mlcgcn.autodiff import Tensor
 from mlcgcn.errors import ConfigError, ForwardError, ShapeError
 from mlcgcn.model import (
@@ -19,6 +20,7 @@ from mlcgcn.model import (
     generate_adjacency,
     init_params,
     moving_average,
+    param_shapes,
     pearson_connectome,
     positional_encoding,
     predict,
@@ -485,70 +487,126 @@ def test_checkpoint_bytes_stable_across_saves(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _split_checkpoint(path):
+    """(header dict, body bytes) of a saved checkpoint."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), body
+
+
+def _write_checkpoint(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
 def test_checkpoint_config_key_mismatch_names_the_keys(tmp_path):
     model = MLCGCN(tiny_config(), rng=derive_rng(22, "init"))
     path = tmp_path / "model.ckpt"
     model.save(path)
-    doc = json.loads(path.read_text())
-    doc["config"]["gcn_layers"] = 2
-    del doc["config"]["levels"]
-    path.write_text(json.dumps(doc))
+    header, body = _split_checkpoint(path)
+    header["config"]["gcn_layers"] = 2
+    del header["config"]["levels"]
+    _write_checkpoint(path, header, body)
     with pytest.raises(ConfigError) as err:
         MLCGCN.load(path)
     assert "missing keys ['levels']" in str(err.value)
     assert "unknown keys ['gcn_layers']" in str(err.value)
 
 
-def _drop_data(doc):
-    del doc["params"]["embed.bias"]["data"]
-    return "embed.bias"
+def _drop_body(header, body):
+    return header, b"", str(len(body))
 
 
-def _short_data(doc):
-    doc["params"]["embed.bias"]["data"].pop()
-    return "embed.bias"
+def _short_body(header, body):
+    return header, body[:-8], str(len(body))
 
 
-def _levels_as_text(doc):
-    doc["config"]["levels"] = "two"
-    return "levels"
+def _trailing_bytes(header, body):
+    return header, body + bytes(8), str(len(body))
+
+
+def _levels_as_text(header, body):
+    header["config"]["levels"] = "two"
+    return header, body, repr("levels")
+
+
+def _v1_document(header, body):
+    doc = {"format": "mlcgcn-checkpoint-v1", "config": header["config"], "params": {}}
+    return doc, b"", repr("mlcgcn-checkpoint-v1")
 
 
 @pytest.mark.parametrize("damage", [
-    "missing", "truncated", "format-only", _drop_data, _short_data, _levels_as_text,
-], ids=["missing", "truncated", "format-only", "no-data", "data-misfits-shape", "levels-text"])
+    "missing", "truncated", "format-only", _drop_body, _short_body, _trailing_bytes,
+    _levels_as_text, _v1_document,
+], ids=["missing", "truncated", "format-only", "no-data", "data-misfits-shape",
+        "trailing-bytes", "levels-text", "v1-json"])
 def test_checkpoint_unreadable_file_names_the_path(tmp_path, damage):
     path = tmp_path / "model.ckpt"
     key = ""
     if damage != "missing":
         MLCGCN(tiny_config(), rng=derive_rng(23, "init")).save(path)
-        text = path.read_text()
+        header, body = _split_checkpoint(path)
         if damage == "truncated":
-            path.write_text(text[: len(text) // 2])
+            data = path.read_bytes()
+            path.write_bytes(data[: data.index(b"\n") // 2])  # cut inside the header line
         elif damage == "format-only":
-            path.write_text(json.dumps({"format": json.loads(text)["format"]}))
+            _write_checkpoint(path, {"format": header["format"]}, body)
         else:
-            doc = json.loads(text)
-            key = damage(doc)
-            path.write_text(json.dumps(doc))
+            header, body, key = damage(header, body)
+            _write_checkpoint(path, header, body)
     with pytest.raises(ConfigError) as err:
         MLCGCN.load(path)
     assert str(path) in str(err.value)
-    if key:
-        assert repr(key) in str(err.value)
+    assert key in str(err.value)
 
 
 def test_checkpoint_rejects_block_shape_that_does_not_fit_config(tmp_path):
     model = MLCGCN(tiny_config(), rng=derive_rng(21, "init"))
     path = tmp_path / "model.ckpt"
     model.save(path)
-    doc = json.loads(path.read_text())
-    name = sorted(doc["params"])[0]
-    shape = doc["params"][name]["shape"]
+    header, body = _split_checkpoint(path)
+    name, shape = header["blocks"][0]
     bad = [shape[0] + 1, *shape[1:]]
-    doc["params"][name] = {"shape": bad, "data": [0.0] * int(np.prod(bad))}
-    path.write_text(json.dumps(doc))
+    header["blocks"][0] = [name, bad]
+    grown = 8 * (int(np.prod(bad)) - int(np.prod(shape)))
+    _write_checkpoint(path, header, bytes(grown) + body)
     with pytest.raises(ConfigError) as err:
         MLCGCN.load(path)
     assert name in str(err.value)
-    assert str(tuple(bad)) in str(err.value) and str(tuple(shape)) in str(err.value)
+    assert str(bad) in str(err.value) and str(shape) in str(err.value)
+
+
+def test_checkpoint_load_builds_no_random_model(tmp_path, monkeypatch, x):
+    model = MLCGCN(tiny_config(), rng=derive_rng(24, "init"))
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load must not draw parameters")
+
+    monkeypatch.setattr(model_module, "init_params", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = MLCGCN.load(path)
+    np.testing.assert_array_equal(model.predict(x)[0].data, loaded.predict(x)[0].data)
+
+
+def test_checkpoint_bytes_ignore_params_dict_order(tmp_path):
+    model = MLCGCN(tiny_config(), rng=derive_rng(25, "init"))
+    flipped = MLCGCN(model.config, params=dict(reversed(model.params.items())))
+    model.save(tmp_path / "a.ckpt")
+    flipped.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_blocks_load_as_own_writeable_arrays(tmp_path, x):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    MLCGCN(cfg, rng=derive_rng(26, "init")).save(path)
+    loaded = MLCGCN.load(path)
+    assert list(loaded.params) == list(param_shapes(cfg))
+    for p in loaded.params.values():
+        assert p.data.flags.writeable and p.data.flags.c_contiguous and p.data.flags.owndata
+    weights = Tensor(np.array([1.0, 2.0, 3.0]))
+
+    def f(p):  # finite_diff_check perturbs the loaded block in place
+        return ad.sum_all(ad.mul(predict(x, {**loaded.params, "head.w2": p}, cfg)[0], weights))
+
+    assert ad.finite_diff_check(f, loaded.params["head.w2"], eps=1e-5) < 1e-3
