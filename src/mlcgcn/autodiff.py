@@ -11,7 +11,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, OracleError, ShapeError
 
@@ -341,44 +340,6 @@ def layer_norm(x, gain, shift):
             )
 
     return _op(xhat * gain.data + shift.data, (x, gain, shift), pull)
-
-
-def conv1d_same(x, kernels, bias):
-    """Convolve each row of x [..., n x L] with each kernel [m x t], zero padded.
-
-    Output is [..., n x m x L]; stride 1, odd t only, so the length stays L.
-    Only the kernels and bias are differentiated: x must be data.
-    """
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if x.requires_grad:
-        raise ContractError("conv1d_same does not differentiate its input series")
-    if x.data.ndim < 2:
-        raise ShapeError(f"conv1d_same expects an [..., n x L] input, got shape {x.data.shape}")
-    if x.data.size == 0:
-        raise ShapeError("conv1d_same on an empty series")
-    if kernels.data.ndim != 2:
-        raise ShapeError(f"kernels must be [m x t], got shape {kernels.data.shape}")
-    m, t = kernels.data.shape
-    if t % 2 == 0:
-        raise ConfigError(f"conv1d_same kernel size must be odd, got t={t}")
-    if bias.data.shape != (m,):
-        raise ShapeError(f"bias must have shape ({m},), got {bias.data.shape}")
-    L = x.data.shape[-1]
-    pad = (t - 1) // 2
-    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)])
-    win = sliding_window_view(xp, t, axis=-1)  # [..., n, L, t]
-    # One BLAS product per row, [m x t] @ [t x L], written in output order.
-    out_data = np.matmul(kernels.data, np.swapaxes(win, -1, -2))
-    out_data += bias.data[:, None]
-
-    def pull(g, acc):
-        if bias.requires_grad:
-            acc(bias, g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
-        if kernels.requires_grad:
-            rows = win.reshape(-1, L, t)  # a view: the leading axes merge
-            acc(kernels, np.matmul(g.reshape(-1, m, L), rows).sum(axis=0))
-
-    return _op(out_data, (x, kernels, bias), pull)
 
 
 def dropout(x, rate, rng=None):

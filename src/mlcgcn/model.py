@@ -8,6 +8,7 @@ graph with its own two-layer GCN, and classifies the concatenated per-level
 readout embeddings.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -234,18 +235,44 @@ def _dense(x, w):
     return ad.reshape(out, (*x.data.shape[:-1], w.data.shape[1]))
 
 
+@functools.lru_cache(maxsize=8)
+def _tap_placement(L, t):
+    """Constant 0/1 map [(L+t-1) x t*L] from (tap, position) to padded position.
+
+    Entry [pos + tap, tap*L + pos] is 1: padded input position pos + tap is
+    what kernel tap `tap` reads for output position pos. Cached read-only, so
+    every forward on a tape shares one array (a run uses one (L, t)).
+    """
+    placement = np.zeros((L + t - 1, t * L))
+    tap, pos = np.divmod(np.arange(t * L), L)
+    placement[pos + tap, np.arange(t * L)] = 1.0
+    placement.flags.writeable = False
+    return placement
+
+
 def embed(x, params, cfg: ModelConfig) -> Tensor:
-    """Per-ROI temporal embedding [..., n x l]: conv, flatten, project, activate, +PE."""
-    if x.data.shape[-2:] != (cfg.n_rois, cfg.series_len):
-        raise ShapeError(
-            f"input series must be [{cfg.n_rois} x {cfg.series_len}], got {x.data.shape}"
-        )
-    conv = ad.conv1d_same(x, params["embed.kernels"], params["embed.bias"])
-    lead = x.data.shape[:-2]
-    flat = ad.reshape(conv, (*lead, cfg.n_rois, cfg.conv_kernels * cfg.series_len))
-    z = ad.relu(_dense(flat, params["embed.w"]))
+    """Per-ROI temporal embedding [..., n x l]: conv, flatten, project, activate, +PE.
+
+    The zero-padded conv (cross-correlation, one bias per kernel), the
+    m-major flatten and the projection `embed.w` are all linear, so they
+    compose into one map from the padded series: v [(L+t-1) x l], built from
+    the parameters on every call, plus the constant row c [l] the biases
+    give. The series x is data; no gradient flows to it.
+    """
+    n, L, l = cfg.n_rois, cfg.series_len, cfg.embed_len
+    m, t = cfg.conv_kernels, cfg.kernel_size
+    if x.data.shape[-2:] != (n, L):
+        raise ShapeError(f"input series must be [{n} x {L}], got {x.data.shape}")
+    w = ad.reshape(params["embed.w"], (m, L * l))  # [kernel, position * l]
+    taps = ad.reshape(ad.matmul(ad.transpose(params["embed.kernels"]), w), (t * L, l))
+    v = ad.matmul(Tensor(_tap_placement(L, t)), taps)
+    per_position = ad.reshape(ad.matmul(ad.reshape(params["embed.bias"], (1, m)), w), (L, l))
+    c = ad.matmul(Tensor(np.ones((1, L))), per_position)  # the sum over positions
+    pad = (t - 1) // 2
+    padded = Tensor(np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)]))
+    z = ad.relu(ad.add(_dense(padded, v), c))
     if cfg.use_positional_encoding:
-        z = ad.add(z, positional_encoding(cfg.n_rois, cfg.embed_len))
+        z = ad.add(z, positional_encoding(n, l))
     return z
 
 
@@ -343,15 +370,17 @@ def stfe_forward(h_in, level, params, cfg: ModelConfig, rng=None):
 def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
     """Two graph-convolution layers with added self-connections.
 
-    A_hat = A + I (no degree normalization) is shared by both layers; node
-    features start from the Pearson matrix.
+    Each layer is relu((A + I) h W) with no degree normalization, computed
+    as A (h W) + h W so the n x n product meets the narrow h W and no
+    identity matrix is built; node features start from the Pearson matrix.
     """
     n = cfg.n_rois
     if adj.data.shape[-2:] != (n, n):
         raise ShapeError(f"adjacency must be [{n} x {n}], got {adj.data.shape}")
-    a_hat = ad.add(adj, Tensor(np.eye(n)))
-    h = ad.relu(_dense(ad.bmm(a_hat, node_feats), params[f"gcn{level}.w0"]))
-    h = ad.relu(_dense(ad.bmm(a_hat, h), params[f"gcn{level}.w1"]))
+    h = node_feats
+    for name in ("w0", "w1"):
+        y = _dense(h, params[f"gcn{level}.{name}"])
+        h = ad.relu(ad.add(ad.bmm(adj, y), y))
     return h
 
 
@@ -456,7 +485,10 @@ class MLCGCN:
         lacking = sorted({"config", "blocks"} - header.keys())
         if lacking:
             raise ConfigError(f"checkpoint {path} lacks {lacking}")
-        keys = header["config"].keys()
+        config = header["config"]
+        if not isinstance(config, dict):
+            raise ConfigError(f"checkpoint config in {path} is not an object: {config!r}")
+        keys = config.keys()
         names = {f.name for f in fields(ModelConfig)}
         missing, unknown = sorted(names - keys), sorted(keys - names)
         if missing or unknown:
@@ -465,13 +497,16 @@ class MLCGCN:
                 f"missing keys {missing}, unknown keys {unknown}"
             )
         for f in fields(ModelConfig):
-            value = header["config"][f.name]
+            value = config[f.name]
             if not _JSON_CONFIG_TYPES[f.type](value):
                 raise ConfigError(
                     f"checkpoint config key {f.name!r} in {path} has a value of the wrong type: "
                     f"{value!r}"
                 )
-        cfg = ModelConfig(**header["config"])
+        try:
+            cfg = ModelConfig(**config)
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint config in {path} is invalid: {exc}") from exc
         shapes = param_shapes(cfg)
         blocks = header["blocks"]
         pairs = isinstance(blocks, list) and all(isinstance(b, list) and len(b) == 2 for b in blocks)

@@ -48,48 +48,6 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# conv1d_same
-
-
-def test_conv_identity_kernel():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 9))
-    out = ad.conv1d_same(Tensor(x), Tensor([[0.0, 1.0, 0.0]]), Tensor([0.0]))
-    np.testing.assert_allclose(out.data[:, 0, :], x)
-
-
-def test_conv_sliding_sum_with_zero_padding():
-    out = ad.conv1d_same(Tensor([[1.0, 2.0, 3.0]]), Tensor([[1.0, 1.0, 1.0]]), Tensor([0.0]))
-    np.testing.assert_array_equal(out.data[0, 0], [3.0, 6.0, 5.0])
-
-
-def test_conv_even_kernel_rejected():
-    with pytest.raises(ConfigError):
-        ad.conv1d_same(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 4))), Tensor([0.0]))
-
-
-def test_conv_empty_series_rejected():
-    with pytest.raises(ShapeError):
-        ad.conv1d_same(Tensor(np.ones((0, 5))), Tensor(np.ones((1, 3))), Tensor([0.0]))
-
-
-def test_conv_refuses_a_requires_grad_input():
-    with pytest.raises(ContractError, match="input series"):
-        ad.conv1d_same(tensor(np.ones((2, 5))), Tensor(np.ones((1, 3))), Tensor([0.0]))
-
-
-def test_conv_kernel_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(2, 8)))
-    bias = Tensor(rng.normal(size=2))
-    kernels = tensor(rng.normal(size=(2, 3)))
-    err = ad.finite_diff_check(
-        lambda p: ad.sum_all(ad.mul(c := ad.conv1d_same(x, p, bias), c)), kernels, eps=1e-5
-    )
-    assert err < 1e-4
-
-
-# ---------------------------------------------------------------------------
 # moving average: the replicate-padded average pool behind the TFE trend, a
 # constant window-count product built from engine ops
 
@@ -424,7 +382,6 @@ POLICY_CASES = [
     ("mean_axis", lambda x: ad.mean_axis(x, axis=-2), [(2, 3, 4)]),
     ("softmax_rows", ad.softmax_rows, [(3, 4)]),
     ("layer_norm", ad.layer_norm, [(3, 4), (4,), (4,)]),
-    ("conv1d_same", lambda k, b: ad.conv1d_same(Tensor(_rand((2, 6), 25)), k, b), [(2, 3), (2,)]),
     ("l2_normalize_rows", ad.l2_normalize_rows, [(3, 4)]),
     ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
 ]

@@ -86,6 +86,11 @@ def test_config_rejects_indivisible_heads():
         tiny_config(attention_heads=4)  # 6 % 4 != 0
 
 
+def test_config_rejects_even_kernel_size():
+    with pytest.raises(ConfigError, match="kernel_size must be odd, got 4"):
+        tiny_config(kernel_size=4)
+
+
 def test_config_defaults_validate():
     cfg = ModelConfig(series_len=176, classes=2)
     assert cfg.n_rois % cfg.attention_heads == 0
@@ -162,10 +167,63 @@ def test_embed_wrong_input_shape(cfg, params):
 
 
 def test_embed_conv_kernel_gradient(cfg, params, x):
-    def f(p):
-        return ad.sum_all(embed(x, {**params, "embed.kernels": p}, cfg))
+    """The kernels, the biases and the projection all reach the output."""
+    for name in ("embed.kernels", "embed.bias", "embed.w"):
+        def f(p, _n=name):
+            return ad.sum_all(embed(x, {**params, _n: p}, cfg))
 
-    assert ad.finite_diff_check(f, params["embed.kernels"], eps=1e-5) < 1e-4
+        assert ad.finite_diff_check(f, params[name], eps=1e-5) < 1e-4
+
+
+def _embed_reference(x, params, cfg):
+    """Zero-padded cross-correlation of every ROI row with every kernel, plus
+    bias, flattened kernel-major, projected, ReLU, plus the position table."""
+    kernels, bias, w = (params[k].data for k in ("embed.kernels", "embed.bias", "embed.w"))
+    m, t = kernels.shape
+    L = x.shape[-1]
+    pad = (t - 1) // 2
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
+    conv = np.empty((*x.shape[:-1], m, L))
+    for k in range(m):
+        for pos in range(L):
+            conv[..., k, pos] = padded[..., pos:pos + t] @ kernels[k] + bias[k]
+    z = np.maximum(conv.reshape(*x.shape[:-1], m * L) @ w, 0.0)
+    return z + positional_encoding(cfg.n_rois, cfg.embed_len).data
+
+
+@pytest.mark.parametrize("kernel_size", [1, 3, 5])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-scan", "batch"])
+def test_embed_matches_conv_then_projection_reference(kernel_size, lead):
+    cfg = tiny_config(kernel_size=kernel_size)
+    params = init_params(cfg, derive_rng(27, "init"))
+    params["embed.bias"] = Tensor(derive_rng(28, "bias").normal(size=cfg.conv_kernels))
+    x = derive_rng(29, "series").normal(size=(*lead, cfg.n_rois, cfg.series_len))
+    expected = _embed_reference(x, params, cfg)
+    z = embed(Tensor(x), params, cfg).data
+    assert z.shape == (*lead, cfg.n_rois, cfg.embed_len)
+    np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def _one_kernel_embed(x, kernel):
+    """embed with a single kernel, no bias, an identity projection and no
+    position table: the conv output itself, through the ReLU."""
+    n, L = x.shape
+    cfg = tiny_config(n_rois=n, series_len=L, embed_len=L, conv_kernels=1,
+                      kernel_size=len(kernel), attention_heads=1,
+                      use_positional_encoding=False)
+    params = {"embed.kernels": Tensor([kernel]), "embed.bias": Tensor([0.0]),
+              "embed.w": Tensor(np.eye(L))}
+    return embed(Tensor(x), params, cfg).data
+
+
+def test_embed_identity_kernel_passes_the_series_through():
+    x = derive_rng(30, "series").uniform(0.5, 1.5, size=(3, 9))
+    np.testing.assert_array_equal(_one_kernel_embed(x, [0.0, 1.0, 0.0]), x)
+
+
+def test_embed_ones_kernel_sums_a_zero_padded_window():
+    z = _one_kernel_embed(np.array([[1.0, 2.0, 3.0]]), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(z, [[3.0, 6.0, 5.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +384,21 @@ def test_gcn_zero_adjacency_reduces_to_self_connections(cfg, params):
     expected = ad.relu(ad.matmul(first, params["gcn0.w1"]))
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
     assert out.data.shape == (6, cfg.gcn_hidden)
+
+
+@pytest.mark.parametrize("level", [0, 1], ids=["pearson", "generated"])
+def test_gcn_matches_dense_reference_on_a_batch(cfg, params, level):
+    rng = derive_rng(31, "gcn")
+    n = cfg.n_rois
+    pearson = pearson_connectome(Tensor(rng.normal(size=(3, n, cfg.series_len))))
+    features = Tensor(rng.normal(size=(3, n, cfg.embed_len)))
+    graph = pearson if level == 0 else generate_adjacency(features)
+    assert np.abs(graph.data[:, ~np.eye(n, dtype=bool)]).min() > 0  # no zero edge
+    a_hat = graph.data + np.eye(n)
+    w0, w1 = params[f"gcn{level}.w0"].data, params[f"gcn{level}.w1"].data
+    expected = np.maximum(a_hat @ np.maximum(a_hat @ pearson.data @ w0, 0.0) @ w1, 0.0)
+    out = gcn_forward(graph, pearson, params, cfg, level).data
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_gcn_rejects_wrong_adjacency_shape(cfg, params):
@@ -528,6 +601,16 @@ def _levels_as_text(header, body):
     return header, body, repr("levels")
 
 
+def _config_not_an_object(header, body):
+    header["config"] = 5
+    return header, body, "not an object: 5"
+
+
+def _levels_zero(header, body):
+    header["config"]["levels"] = 0
+    return header, body, "levels must be >= 1, got 0"
+
+
 def _v1_document(header, body):
     doc = {"format": "mlcgcn-checkpoint-v1", "config": header["config"], "params": {}}
     return doc, b"", repr("mlcgcn-checkpoint-v1")
@@ -535,9 +618,9 @@ def _v1_document(header, body):
 
 @pytest.mark.parametrize("damage", [
     "missing", "truncated", "format-only", _drop_body, _short_body, _trailing_bytes,
-    _levels_as_text, _v1_document,
+    _levels_as_text, _config_not_an_object, _levels_zero, _v1_document,
 ], ids=["missing", "truncated", "format-only", "no-data", "data-misfits-shape",
-        "trailing-bytes", "levels-text", "v1-json"])
+        "trailing-bytes", "levels-text", "config-not-object", "levels-zero", "v1-json"])
 def test_checkpoint_unreadable_file_names_the_path(tmp_path, damage):
     path = tmp_path / "model.ckpt"
     key = ""
