@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, OracleError, ShapeError
+from .errors import ConfigError, ContractError, OracleError, ShapeError, ZeroNormRowsWarning
 
 LAYERNORM_EPS = 1e-5
 LOG_FLOOR = 1e-12
@@ -357,31 +357,49 @@ def dropout(x, rate, rng=None):
     return mul(x, Tensor(keep * (1.0 / (1.0 - rate))))
 
 
-def l2_normalize_rows(x):
-    """Scale each row (last axis) of x [..., n x d] to unit L2 norm.
-
-    Zero rows are left as zeros (with a warning) rather than dividing by zero.
-    """
+def cosine_graph(x):
+    """Cosine-similarity graph [..., n x n] of the rows of x [..., n x d]: the
+    unit-norm rows' Gram matrix, symmetrized, clipped to [-1, 1], diagonal 1.
+    Zero-norm rows stay zero (with a warning) and get no gradient. One record,
+    whose pull maps the graph adjoint straight back to the rows of x."""
     x = _as_tensor(x)
     if x.data.ndim < 2:
-        raise ShapeError(f"l2_normalize_rows expects [..., n x d], got shape {x.data.shape}")
+        raise ShapeError(f"cosine_graph expects [..., n x d], got shape {x.data.shape}")
     norms = np.sqrt((x.data * x.data).sum(axis=-1))
     zero = norms < 1e-150
     if zero.any():
-        warnings.warn(
-            f"l2_normalize_rows: {int(zero.sum())} zero-norm row(s) left as zeros",
-            stacklevel=2,
-        )
+        warnings.warn(ZeroNormRowsWarning("cosine_graph", int(zero.sum())), stacklevel=2)
     safe = np.where(zero, 1.0, norms)[..., None]
     y = x.data / safe
+    a = np.matmul(y, np.ascontiguousarray(np.swapaxes(y, -1, -2)))
+    a = (a + np.ascontiguousarray(np.swapaxes(a, -1, -2))) * 0.5
+    inside = (a > -1.0) & (a < 1.0)  # where the clip passes the gradient
+    eye = np.eye(a.shape[-1])
 
     def pull(g, acc):
-        d = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
-        if zero.any():
-            d[zero] = 0.0
+        s = g * (1.0 - eye) * inside * 0.5
+        s = s + np.swapaxes(s, -1, -2)
+        gy = np.matmul(s, y) + np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), s), -1, -2)
+        d = (gy - y * (gy * y).sum(axis=-1, keepdims=True)) / safe
+        d[zero] = 0.0
         acc(x, d)
 
-    return _op(y, (x,), pull)
+    return _op(np.clip(a, -1.0, 1.0) * (1.0 - eye) + eye, (x,), pull)
+
+
+def class_spread(stack, mean_of, weight):
+    """Sum of weight * diff**2, diff = stack - mean_of·stack, over the samples
+    of stack [B x ...] as flat rows; mean_of [B x B] and weight [B x 1] are
+    constant arrays. One record."""
+    stack = _as_tensor(stack)
+    flat = stack.data.reshape(len(mean_of), -1)
+    diff = flat - mean_of @ flat
+
+    def pull(g, acc):
+        d = g * weight * diff * 2.0
+        acc(stack, (d - mean_of.T @ d).reshape(stack.data.shape))
+
+    return _op((diff * diff * weight).sum(), (stack,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -290,13 +290,15 @@ def cmd_gradcheck(args):
             )
     outdir = _out_dir(args)
     t0 = time.perf_counter()
-    results = run_gradcheck(cfg, args.tolerance, seed=args.seed)
+    zero_rows = {}
+    results = run_gradcheck(cfg, args.tolerance, seed=args.seed, zero_rows=zero_rows)
     elapsed = time.perf_counter() - t0
     write_snapshot(outdir, "gradcheck", {"tolerance": args.tolerance, "seed": args.seed})
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, err, ok in results:
-        lines.append(f"{name.ljust(width)}  {err:.3e}  {'PASS' if ok else 'FAIL'}")
+        verdict = "PASS" if ok else f"FAIL  ({zero_rows[name]} zero-norm rows met)"
+        lines.append(f"{name.ljust(width)}  {err:.3e}  {verdict}")
     table = "\n".join(lines) + "\n"
     (outdir / "gradcheck.txt").write_text(table, encoding="utf-8")
     print(table, end="")

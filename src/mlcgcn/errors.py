@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception and warning taxonomy shared across the package."""
 
 
 class ShapeError(ValueError):
@@ -27,3 +27,11 @@ class TrainingError(RuntimeError):
 
 class OracleError(RuntimeError):
     """A verification oracle could not be evaluated."""
+
+
+class ZeroNormRowsWarning(UserWarning):
+    """`where` left `rows` zero-norm rows as zeros."""
+
+    def __init__(self, where, rows):
+        super().__init__(f"{where}: {rows} zero-norm row(s) left as zeros")
+        self.rows = rows

@@ -61,9 +61,9 @@ def group_loss(adjacencies, labels, levels):
 
     `adjacencies` is either a list (per level) of [B x n x n] stacks, as a
     batched `predict` returns them, or a list (per sample) of lists (per
-    level) of [n x n] tensors, which is stacked per level first. Classes with
-    a single member contribute zero. Always >= 0; zero iff every graph equals
-    its class mean, up to rounding (identical graphs can leave ~1e-31).
+    level) of [n x n] tensors, stacked per level first. One `ad.class_spread`
+    record per level; a class with one member adds zero. Always >= 0; zero iff
+    every graph equals its class mean, up to rounding (~1e-31 for identical graphs).
     """
     if levels < 1:
         raise ContractError(f"levels must be >= 1, got {levels}")
@@ -80,13 +80,11 @@ def group_loss(adjacencies, labels, levels):
     # sample's row picks out its own graph, so its difference is exactly 0.
     same = labels[:, None] == labels[None, :]
     size = same.sum(axis=1)
-    mean_of, weight = Tensor(same / size[:, None]), Tensor((1.0 / size)[:, None])
+    mean_of, weight = same / size[:, None], (1.0 / size)[:, None]
 
     total = None
     for level in range(levels):
-        stack = ad.reshape(adjacencies[level], (batch, -1))
-        diff = ad.sub(stack, ad.matmul(mean_of, stack))
-        term = ad.sum_all(ad.mul(ad.mul(diff, diff), weight))
+        term = ad.class_spread(adjacencies[level], mean_of, weight)
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, Tensor(1.0 / levels))
 

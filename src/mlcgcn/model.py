@@ -215,18 +215,8 @@ def pearson_connectome(x) -> Tensor:
 
 
 def generate_adjacency(h_level: Tensor) -> Tensor:
-    """Cosine-similarity graph of the per-ROI feature rows.
-
-    Rows are L2-normalized before the dot product so entries land in [-1, 1];
-    the diagonal is pinned to exactly 1 and the result is symmetrized.
-    Zero-norm rows stay zero off-diagonal (warned inside the normalizer).
-    """
-    h = ad.l2_normalize_rows(h_level)
-    a = ad.bmm(h, ad.transpose(h))
-    a = ad.mul(ad.add(a, ad.transpose(a)), Tensor(0.5))
-    a = ad.clamp(a, -1.0, 1.0)
-    eye = np.eye(a.data.shape[-1])
-    return ad.add(ad.mul(a, Tensor(1.0 - eye)), Tensor(eye))
+    """Cosine-similarity graph [..., n x n] of the feature rows: one `ad.cosine_graph` record."""
+    return ad.cosine_graph(h_level)
 
 
 def _dense(x, w):
@@ -418,9 +408,7 @@ def predict(x, params, cfg: ModelConfig, rng=None):
     for level in range(1, cfg.levels + 1):
         h = stfe_forward(h, level, params, cfg, rng)
         _check_finite(h, f"features at level {level}")
-        adj = generate_adjacency(h)
-        _check_finite(adj, f"adjacency at level {level}")
-        adjacencies.append(adj)
+        adjacencies.append(generate_adjacency(h))  # finite, as h is: entries lie in [-1, 1]
 
     embeddings = []
     for k in cfg.gcn_levels:

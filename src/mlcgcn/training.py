@@ -7,13 +7,14 @@ Every fold owns a private model, optimizer, and RNG streams derived from
 
 import logging
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError, ZeroNormRowsWarning
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import METRIC_LABELS, FoldReport, compute_metrics, stratified_kfold
 from .model import MLCGCN, ModelConfig
@@ -344,21 +345,18 @@ def gradcheck_config(n_rois=6, series_len=20, levels=2):
     )
 
 
-def run_gradcheck(cfg: ModelConfig, tolerance, seed=0):
+def run_gradcheck(cfg: ModelConfig, tolerance, seed=0, zero_rows=None):
     """Finite-difference check of every parameter block; returns result rows.
 
     The objective is the batch loss with alpha 1, dropout and mixup off, over
     a deterministic batch of two random scans per class; the central
-    differences step by 1e-6.
+    differences step by 1e-6. A dict `zero_rows` receives, per block, how many
+    zero-norm feature rows its forward passes met (their edges jump off zero).
     """
     base = MLCGCN(cfg, rng=derive_rng(seed, "gradcheck-init")).params
     rng = derive_rng(seed, "gradcheck-data")
-    series = []
-    labels = []
-    for cls in range(cfg.classes):
-        for _ in range(2):
-            series.append(rng.normal(size=(cfg.n_rois, cfg.series_len)))
-            labels.append(cls)
+    labels = np.repeat(np.arange(cfg.classes), 2)
+    series = [rng.normal(size=(cfg.n_rois, cfg.series_len)) for _ in labels]
     targets = BatchTargets.from_labels(labels, cfg.classes)
 
     results = []
@@ -366,6 +364,15 @@ def run_gradcheck(cfg: ModelConfig, tolerance, seed=0):
         def block_loss(p, _name=name):
             return batch_loss(MLCGCN(cfg, params={**base, _name: p}), series, targets, 1.0)[2]
 
-        err = ad.finite_diff_check(block_loss, tensor, eps=1e-6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ZeroNormRowsWarning)
+            err = ad.finite_diff_check(block_loss, tensor, eps=1e-6)
+        for w in caught:
+            if w.category is not ZeroNormRowsWarning:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        if zero_rows is not None:
+            zero_rows[name] = sum(
+                w.message.rows for w in caught if w.category is ZeroNormRowsWarning
+            )
         results.append((name, err, err < tolerance))
     return results

@@ -331,6 +331,12 @@ def _rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
 
 
+# Generic class_spread constants: with the class means and 1/size weights
+# group_loss passes, the mean_of-transpose term of the pull sums to zero, so
+# only other constants show an error in it.
+_MEAN_OF = _rand((3, 3), 41)
+_WEIGHT = np.array([[0.5], [1.0], [2.0]])
+
 OP_CASES = [
     ("add", lambda p: ad.add(p, Tensor(_rand((3, 4), 10))), (3, 4)),
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
@@ -351,8 +357,10 @@ OP_CASES = [
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("avgpool", lambda p: moving_average(p, 3), (3, 5)),
-    ("l2_normalize", ad.l2_normalize_rows, (3, 4)),
-    ("l2_normalize_3d", ad.l2_normalize_rows, (2, 3, 4)),
+    ("cosine_graph", ad.cosine_graph, (3, 4)),
+    ("cosine_graph_3d", ad.cosine_graph, (2, 3, 4)),
+    ("class_spread", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 4)),
+    ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
     (
         "layer_norm_x",
         lambda p: ad.layer_norm(p, Tensor(_rand(4, 21)), Tensor(_rand(4, 22))),
@@ -382,7 +390,8 @@ POLICY_CASES = [
     ("mean_axis", lambda x: ad.mean_axis(x, axis=-2), [(2, 3, 4)]),
     ("softmax_rows", ad.softmax_rows, [(3, 4)]),
     ("layer_norm", ad.layer_norm, [(3, 4), (4,), (4,)]),
-    ("l2_normalize_rows", ad.l2_normalize_rows, [(3, 4)]),
+    ("cosine_graph", ad.cosine_graph, [(3, 4)]),
+    ("class_spread", lambda x: ad.class_spread(x, _MEAN_OF, _WEIGHT), [(3, 4)]),
     ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
 ]
 
@@ -428,12 +437,57 @@ def test_stack_rows_gradient():
     assert ad.finite_diff_check(f, rows[1], eps=1e-5) < 1e-4
 
 
-def test_l2_normalize_zero_row_warns_and_stays_zero():
-    x = tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    with pytest.warns(UserWarning, match="zero-norm"):
-        out = ad.l2_normalize_rows(x)
-    np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
-    np.testing.assert_allclose(out.data[1], [0.6, 0.8])
+def test_cosine_graph_zero_row_warns_and_stays_zero():
+    x = tensor(np.array([[0.0, 0.0], [3.0, 4.0], [4.0, 3.0]]))
+    with ad.recording():
+        with pytest.warns(UserWarning, match="zero-norm"):
+            out = ad.cosine_graph(x)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(_rand((3, 3), 5)))))
+    np.testing.assert_array_equal(out.data[0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out.data[:, 0], [1.0, 0.0, 0.0])
+    assert out.data[1, 2] == pytest.approx(0.96)
+    np.testing.assert_array_equal(x.grad[0], [0.0, 0.0])
+    assert np.abs(x.grad[1:]).min() > 0
+
+
+def _cosine_reference(x):
+    """The graph of one [n x d] feature matrix, in plain NumPy."""
+    norms = np.sqrt((x * x).sum(axis=-1))
+    y = x / np.where(norms < 1e-150, 1.0, norms)[:, None]
+    a = y @ np.ascontiguousarray(y.T)
+    a = (a + np.ascontiguousarray(a.T)) * 0.5
+    eye = np.eye(len(x))
+    return np.clip(a, -1.0, 1.0) * (1.0 - eye) + eye
+
+
+def _graph_rows(case):
+    x = _rand((5, 4), 31)
+    if case == "zero_row":
+        x[2] = 0.0
+    elif case == "parallel_rows":  # their cosine rounds to 1 + 2**-52
+        x[1], x[3] = [6.0, 5.0, 3.0, 3.0], [30.0, 25.0, 15.0, 15.0]
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:cosine_graph")
+@pytest.mark.parametrize("case", ["random", "zero_row", "parallel_rows"])
+def test_cosine_graph_matches_numpy_reference_bit_for_bit(case):
+    x = _graph_rows(case)
+    stack = np.stack([x, _rand((5, 4), 32), x[::-1]])
+    assert ad.cosine_graph(Tensor(x)).data.tobytes() == _cosine_reference(x).tobytes()
+    expected = np.stack([_cosine_reference(m) for m in stack])
+    assert ad.cosine_graph(Tensor(stack)).data.tobytes() == expected.tobytes()
+
+
+def test_cosine_graph_clipped_parallel_edge_passes_no_gradient():
+    x = tensor(_graph_rows("parallel_rows"))
+    only_edge = np.zeros((5, 5))
+    only_edge[1, 3] = only_edge[3, 1] = 1.0
+    with ad.recording():
+        out = ad.cosine_graph(x)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(only_edge))))
+    assert out.data[1, 3] == 1.0
+    np.testing.assert_array_equal(x.grad, np.zeros((5, 4)))
 
 
 # ---------------------------------------------------------------------------

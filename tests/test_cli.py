@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from typing import Optional
 
 import numpy as np
@@ -323,6 +324,15 @@ def test_gradcheck_impossible_tolerance_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "worst block" in captured.out
     assert "FAILED" in captured.err
+
+
+def test_gradcheck_failure_names_the_zero_norm_rows_it_met(tmp_path, capsys):
+    rc = main([
+        "gradcheck", "--out", str(tmp_path / "gc"), "--levels", "1", "--series-len", "6",
+    ])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^stfe1\.fuse\.b2 .*FAIL  \([1-9]\d* zero-norm rows met\)$", out, re.M)
 
 
 def test_gradcheck_config_fits_short_series():

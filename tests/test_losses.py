@@ -135,6 +135,28 @@ def test_group_loss_per_level_stacks_match_per_sample_lists():
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+def test_group_loss_records_at_most_three_per_level(levels):
+    stacks = [Tensor(np.ones((4, 3, 3)) * k, requires_grad=True) for k in range(levels)]
+    with ad.recording() as tape:
+        group_loss(stacks, [0, 1, 0, 1], levels)
+    assert len(tape.records) <= 3 * levels
+
+
+def test_group_loss_gradient_is_the_closed_form():
+    rng = np.random.default_rng(4)
+    labels = np.array([0, 1, 0, 2, 1, 0])  # class 2 has one member
+    a = Tensor(rng.normal(size=(6, 3, 3)), requires_grad=True)
+    with ad.recording():
+        ad.backward(group_loss([a], labels, levels=1))
+    expected = np.empty_like(a.data)
+    for u, label in enumerate(labels):
+        members = labels == label
+        expected[u] = 2.0 / members.sum() * (a.data[u] - a.data[members].mean(axis=0))
+    np.testing.assert_allclose(a.grad, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(a.grad[3], np.zeros((3, 3)))
+
+
 # ---------------------------------------------------------------------------
 # total loss
 

@@ -364,6 +364,13 @@ def test_adjacency_zero_row_handling():
     assert a[0, 1] == 0.0
 
 
+def test_adjacency_is_one_tape_record():
+    h = Tensor(derive_rng(10, "h").normal(size=(3, 7, 5)), requires_grad=True)
+    with ad.recording() as tape:
+        generate_adjacency(h)
+    assert len(tape.records) == 1
+
+
 def test_adjacency_contract_properties():
     rng = derive_rng(10, "h")
     a = generate_adjacency(Tensor(rng.normal(size=(7, 5)))).data
