@@ -360,8 +360,10 @@ def dropout(x, rate, rng=None):
 def cosine_graph(x):
     """Cosine-similarity graph [..., n x n] of the rows of x [..., n x d]: the
     unit-norm rows' Gram matrix, symmetrized, clipped to [-1, 1], diagonal 1.
-    Zero-norm rows stay zero (with a warning) and get no gradient. One record,
-    whose pull maps the graph adjoint straight back to the rows of x."""
+    This is the one normalised-Gram kernel: the Pearson connectome is this
+    graph of the mean-centred series. Zero-norm rows stay zero (with a
+    `ZeroNormRowsWarning`) and get no gradient. One record, whose pull maps
+    the graph adjoint straight back to the rows of x."""
     x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"cosine_graph expects [..., n x d], got shape {x.data.shape}")
@@ -373,18 +375,21 @@ def cosine_graph(x):
     y = x.data / safe
     a = np.matmul(y, np.ascontiguousarray(np.swapaxes(y, -1, -2)))
     a = (a + np.ascontiguousarray(np.swapaxes(a, -1, -2))) * 0.5
-    inside = (a > -1.0) & (a < 1.0)  # where the clip passes the gradient
-    eye = np.eye(a.shape[-1])
+    np.clip(a, -1.0, 1.0, out=a)
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] = 1.0
 
     def pull(g, acc):
-        s = g * (1.0 - eye) * inside * 0.5
+        # The clipped a lies inside (-1, 1) iff the clip passed it; the unit
+        # diagonal lies outside, so it passes nothing.
+        s = g * ((a > -1.0) & (a < 1.0)) * 0.5
         s = s + np.swapaxes(s, -1, -2)
         gy = np.matmul(s, y) + np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), s), -1, -2)
         d = (gy - y * (gy * y).sum(axis=-1, keepdims=True)) / safe
         d[zero] = 0.0
         acc(x, d)
 
-    return _op(np.clip(a, -1.0, 1.0) * (1.0 - eye) + eye, (x,), pull)
+    return _op(a, (x,), pull)
 
 
 def class_spread(stack, mean_of, weight):

@@ -235,6 +235,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
     manifest = load_manifest(args.manifest)
     mismatches = [
@@ -247,7 +248,6 @@ def cmd_eval(args):
     samples = load_dataset(args.manifest)
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
-    outdir = _out_dir(args)
     write_snapshot(outdir, "eval", {"manifest": args.manifest, "checkpoint": args.checkpoint})
     lines = [f"{name} = {100.0 * value:.2f}"
              for name, value in zip(METRIC_LABELS, report.values())]
@@ -315,12 +315,12 @@ def cmd_export(args):
     level = parse_level_selector(args.level)
     if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
+    outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
     if isinstance(level, int) and level > model.config.levels:
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
     samples = load_dataset(args.manifest)
     mean = mean_graph((levels for _, levels in forward_slices(model, samples)), level)
-    outdir = _out_dir(args)
     write_snapshot(outdir, "export", {
         "manifest": args.manifest, "checkpoint": args.checkpoint,
         "what": args.what, "level": args.level,

@@ -91,6 +91,9 @@ class SyntheticSpec:
             raise ConfigError(f"need >= 2 classes, got {self.classes}")
         if self.per_class < 1:
             raise ConfigError(f"need >= 1 sample per class, got {self.per_class}")
+        for name in ("n_rois", "series_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.latent_rank < 1 or self.latent_rank > self.n_rois:
             raise ConfigError(
                 f"latent_rank must be in [1, n_rois], got {self.latent_rank} for n={self.n_rois}"

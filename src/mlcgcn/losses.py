@@ -28,10 +28,6 @@ class BatchTargets:
         return cls(onehot)
 
     @property
-    def n(self):
-        return self.probs.shape[0]
-
-    @property
     def dominant(self):
         """Hard class per row: the largest-weight class (ties to the lowest index)."""
         return self.probs.argmax(axis=1)

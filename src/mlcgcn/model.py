@@ -11,7 +11,6 @@ readout embeddings.
 import functools
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -188,30 +187,18 @@ def init_params(cfg: ModelConfig, rng) -> dict:
 
 
 def pearson_connectome(x) -> Tensor:
-    """Pearson correlation matrix of the rows of x [..., n x L].
+    """Pearson correlation matrix [..., n x n] of the rows of x [..., n x L]:
+    `ad.cosine_graph` of the mean-centred series, a constant (no tape record).
 
-    The result is a constant (never differentiated): symmetric with a unit
-    diagonal. Zero-variance rows get zero off-diagonal entries and a warning.
+    A constant row is centred to exactly zero, so its correlations are 0 and
+    the kernel's `ZeroNormRowsWarning` counts it.
     """
     data = x.data
     if data.ndim < 2:
         raise ShapeError(f"pearson_connectome expects [..., n x L], got shape {data.shape}")
-    n = data.shape[-2]
-    centered = data - data.mean(axis=-1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=-1))
-    degenerate = norms < 1e-150
-    if degenerate.any():
-        warnings.warn(
-            f"pearson_connectome: {int(degenerate.sum())} zero-variance row(s); "
-            "their correlations are set to 0",
-            stacklevel=2,
-        )
-    unit = centered / np.where(degenerate, 1.0, norms)[..., None]
-    f = unit @ np.swapaxes(unit, -1, -2)
-    f = (f + np.swapaxes(f, -1, -2)) / 2.0
-    f[degenerate[..., :, None] | degenerate[..., None, :]] = 0.0
-    f[..., np.arange(n), np.arange(n)] = 1.0
-    return Tensor(np.clip(f, -1.0, 1.0))
+    centred = data - data.mean(axis=-1, keepdims=True)
+    centred[data.max(axis=-1) == data.min(axis=-1)] = 0.0
+    return ad.cosine_graph(centred)
 
 
 def generate_adjacency(h_level: Tensor) -> Tensor:

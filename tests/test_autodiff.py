@@ -490,6 +490,19 @@ def test_cosine_graph_clipped_parallel_edge_passes_no_gradient():
     np.testing.assert_array_equal(x.grad, np.zeros((5, 4)))
 
 
+def test_cosine_graph_clipped_antiparallel_edge_passes_no_gradient():
+    rows = _graph_rows("parallel_rows")
+    rows[3] = -rows[3]  # their cosine rounds to -1 - 2**-52
+    x = tensor(rows)
+    only_edge = np.zeros((5, 5))
+    only_edge[1, 3] = only_edge[3, 1] = 1.0
+    with ad.recording():
+        out = ad.cosine_graph(x)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(only_edge))))
+    assert out.data[1, 3] == -1.0
+    np.testing.assert_array_equal(x.grad, np.zeros((5, 4)))
+
+
 # ---------------------------------------------------------------------------
 # engine surface
 

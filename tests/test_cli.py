@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from mlcgcn import cli
 from mlcgcn.cli import build_parser, main, resolve_config
 from mlcgcn.data import SyntheticSpec, load_connectome, load_dataset, load_manifest
 from mlcgcn.model import MLCGCN, ModelConfig
@@ -110,6 +111,17 @@ def test_synth_force_removes_the_old_datasets_files(tmp_path):
         "connectome_class0.csv", "connectome_class1.csv",
     ]
     assert (out / "notes.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("series_len", "0"), ("series_len", "-3"), ("n_rois", "0"),
+])
+def test_synth_nonpositive_size_is_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "d"
+    rc = main(["synth", "--out", str(out), *SYNTH_ARGS, "--set", f"synth.{key}={value}"])
+    assert rc == 2
+    assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -410,17 +422,26 @@ def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, cap
     assert cause in capsys.readouterr().err
 
 
+def _model_never_runs(*args, **kwargs):
+    raise AssertionError("the model ran before --out was checked")
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", *SYNTH_ARGS],
     ["train", "--manifest", "{manifest}", *TRAIN_ARGS],
     ["gradcheck"],
-], ids=["synth", "train", "gradcheck"])
-def test_unwritable_out_is_usage_error(dataset_dir, tmp_path, capsys, argv):
+    ["eval", "--checkpoint", "{ckpt}", "--manifest", "{manifest}"],
+    ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}", "--what", "mean-graph"],
+], ids=["synth", "train", "gradcheck", "eval", "export"])
+def test_unwritable_out_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, monkeypatch,
+                                       argv):
+    monkeypatch.setattr(cli, "evaluate_model", _model_never_runs)
+    monkeypatch.setattr(cli, "forward_slices", _model_never_runs)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     out = blocker / "sub"
-    rc = main([arg.format(manifest=dataset_dir / "manifest.json") for arg in argv]
-              + ["--out", str(out)])
+    paths = {"manifest": dataset_dir / "manifest.json", "ckpt": trained_dir / "fold0.ckpt"}
+    rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
     assert rc == 2
     assert str(out) in capsys.readouterr().err
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mlcgcn import autodiff as ad
 from mlcgcn import model as model_module
 from mlcgcn.autodiff import Tensor
-from mlcgcn.errors import ConfigError, ForwardError, ShapeError
+from mlcgcn.errors import ConfigError, ForwardError, ShapeError, ZeroNormRowsWarning
 from mlcgcn.model import (
     MLCGCN,
     ModelConfig,
@@ -332,10 +332,55 @@ def test_pearson_perfect_anticorrelation():
 
 def test_pearson_zero_variance_row_warns():
     x = Tensor(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]))
-    with pytest.warns(UserWarning, match="zero-variance"):
+    with pytest.warns(ZeroNormRowsWarning) as caught:
         f = pearson_connectome(x).data
+    assert [w.message.rows for w in caught] == [1]
     assert f[0, 0] == 1.0
     assert f[0, 1] == 0.0 and f[1, 0] == 0.0
+
+
+def _pearson_rows(case):
+    x = derive_rng(9, "pearson-rows").normal(size=(5, 12))
+    if case == "constant_row":
+        x[2] = 1.5
+    elif case == "correlated_rows":
+        x[3] = 2.0 * x[1] - 1.0
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:cosine_graph")
+@pytest.mark.parametrize("case", ["random", "constant_row", "correlated_rows"])
+def test_pearson_is_the_cosine_graph_of_the_centred_rows_bit_for_bit(case):
+    x = _pearson_rows(case)
+    for rows in (x, np.stack([x, x[::-1], 3.0 * x])):
+        expected = ad.cosine_graph(rows - rows.mean(axis=-1, keepdims=True)).data
+        assert pearson_connectome(Tensor(rows)).data.tobytes() == expected.tobytes()
+
+
+def test_pearson_records_nothing_on_the_tape():
+    with ad.recording() as tape:
+        pearson_connectome(Tensor(_pearson_rows("random")))
+    assert tape.records == []
+
+
+@pytest.mark.filterwarnings("ignore:cosine_graph")  # the plain reference's exact-mean rows
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.001])
+@pytest.mark.parametrize("length", [3, 176, 200])
+def test_pearson_constant_rows_are_exactly_uncorrelated(value, length):
+    # Their mean need not round to `value`, which used to leave ~1e-17 residues.
+    x = derive_rng(9, "constant-rows", length).normal(size=(6, length))
+    constant = [1, 4]
+    x[constant] = value
+    with pytest.warns(ZeroNormRowsWarning) as caught:
+        f = pearson_connectome(Tensor(x)).data
+    assert [w.message.rows for w in caught] == [2]
+    np.testing.assert_array_equal(np.diag(f), 1.0)
+    for i in constant:
+        np.testing.assert_array_equal(np.delete(f[i], i), 0.0)
+        np.testing.assert_array_equal(np.delete(f[:, i], i), 0.0)
+    keep = np.ix_([0, 2, 3, 5], [0, 2, 3, 5])
+    plain = ad.cosine_graph(x - x.mean(axis=-1, keepdims=True)).data
+    assert f[keep].tobytes() == plain[keep].tobytes()
 
 
 def test_adjacency_identical_rows():
