@@ -1,78 +1,1 @@
 """Multi-level learned-connectome GCN for ROI time-series classification."""
-
-from .autodiff import Tape, Tensor, backward, finite_diff_check, recording
-from .data import (
-    DatasetManifest,
-    ScanSample,
-    SyntheticSpec,
-    export_connectome,
-    generate_synthetic,
-    load_dataset,
-    mean_graph,
-    node_importance,
-    top_edges,
-)
-from .losses import BatchTargets, cross_entropy, group_loss, total_loss
-from .metrics import FoldReport, MetricReport, compute_metrics, confusion_counts, stratified_kfold
-from .model import (
-    LevelOutputs,
-    MLCGCN,
-    ModelConfig,
-    generate_adjacency,
-    pearson_connectome,
-    positional_encoding,
-    predict,
-)
-from .training import (
-    OptimizerState,
-    TrainConfig,
-    adamw_step,
-    intra_group_dissimilarity,
-    mixup_batch,
-    run_ablation,
-    run_cv,
-    train_epoch,
-)
-
-__all__ = [
-    "BatchTargets",
-    "DatasetManifest",
-    "FoldReport",
-    "LevelOutputs",
-    "MetricReport",
-    "MLCGCN",
-    "ModelConfig",
-    "OptimizerState",
-    "ScanSample",
-    "SyntheticSpec",
-    "Tape",
-    "Tensor",
-    "TrainConfig",
-    "adamw_step",
-    "backward",
-    "compute_metrics",
-    "confusion_counts",
-    "cross_entropy",
-    "export_connectome",
-    "finite_diff_check",
-    "generate_adjacency",
-    "generate_synthetic",
-    "group_loss",
-    "intra_group_dissimilarity",
-    "load_dataset",
-    "mean_graph",
-    "mixup_batch",
-    "node_importance",
-    "pearson_connectome",
-    "positional_encoding",
-    "predict",
-    "recording",
-    "run_ablation",
-    "run_cv",
-    "stratified_kfold",
-    "top_edges",
-    "total_loss",
-    "train_epoch",
-]
-
-__version__ = "0.1.0"

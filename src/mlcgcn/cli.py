@@ -201,11 +201,9 @@ def cmd_synth(args):
     )
     manifest_path = write_dataset(samples, truth, manifest, outdir, force=args.force)
     write_snapshot(outdir, "synth", {}, {"synth": spec})
-    per_class = {name: sum(1 for s in samples if spec.class_names()[s.label] == name)
-                 for name in spec.class_names()}
     print(f"wrote {len(samples)} scans to {manifest_path}")
-    for name, count in per_class.items():
-        print(f"  {name}: {count}")
+    for name in manifest.classes:
+        print(f"  {name}: {spec.per_class}")
     return 0
 
 
@@ -249,8 +247,7 @@ def cmd_eval(args):
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
     write_snapshot(outdir, "eval", {"manifest": args.manifest, "checkpoint": args.checkpoint})
-    lines = [f"{name} = {100.0 * value:.2f}"
-             for name, value in zip(METRIC_LABELS, report.values())]
+    lines = [f"{name} = {cell}" for name, cell in zip(METRIC_LABELS, report.percent_cells())]
     text = "\n".join(lines) + "\n"
     (outdir / "metrics.txt").write_text(text, encoding="utf-8")
     print(text, end="")
@@ -311,6 +308,14 @@ def cmd_gradcheck(args):
     return 1
 
 
+# export --what: (output file name, export_connectome format)
+EXPORTS = {
+    "mean-graph": ("mean_graph.csv", "matrix"),
+    "top-edges": ("top_edges.csv", "edge-list"),
+    "node-importance": ("node_importance.csv", "node-importance"),
+}
+
+
 def cmd_export(args):
     level = parse_level_selector(args.level)
     if args.top < 1:
@@ -325,15 +330,9 @@ def cmd_export(args):
         "manifest": args.manifest, "checkpoint": args.checkpoint,
         "what": args.what, "level": args.level,
     })
-    if args.what == "mean-graph":
-        path = outdir / "mean_graph.csv"
-        export_connectome(mean, path, fmt="matrix")
-    elif args.what == "top-edges":
-        path = outdir / "top_edges.csv"
-        export_connectome(mean, path, fmt="edge-list", fraction=args.fraction)
-    else:
-        path = outdir / "node_importance.csv"
-        export_connectome(mean, path, fmt="node-importance", top=args.top)
+    name, fmt = EXPORTS[args.what]
+    path = outdir / name
+    export_connectome(mean, path, fmt=fmt, fraction=args.fraction, top=args.top)
     print(path)
     return 0
 
@@ -394,8 +393,7 @@ def build_parser():
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--what", required=True,
-                   choices=("mean-graph", "top-edges", "node-importance"))
+    p.add_argument("--what", required=True, choices=EXPORTS)
     p.add_argument("--level", default="all",
                    help="level selector: a 1-based index, 'all', or 'pearson'")
     p.add_argument("--fraction", type=float, default=0.01)

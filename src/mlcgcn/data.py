@@ -16,7 +16,7 @@ within 1e-12; the other two are write-only.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +54,7 @@ class DatasetManifest:
     scans: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "classes": list(self.classes),
-            "n_rois": self.n_rois,
-            "series_len": self.series_len,
-            "scans": [
-                {"id": s.id, "subject": s.subject, "label": s.label, "path": s.path}
-                for s in self.scans
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass

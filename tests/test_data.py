@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +345,19 @@ def test_export_deterministic_bytes(tmp_path):
     export_connectome(a, p1, fmt="matrix")
     export_connectome(a, p2, fmt="matrix")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_import_data_loads_no_model_training_or_cli():
+    """The package root re-exports nothing, so `import mlcgcn.data` pulls in
+    only what data.py itself imports."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import mlcgcn.data; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('mlcgcn'))))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "mlcgcn.data" in loaded
+    for name in ("mlcgcn.model", "mlcgcn.training", "mlcgcn.cli"):
+        assert name not in loaded
