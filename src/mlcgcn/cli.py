@@ -28,8 +28,6 @@ from .data import (
     generate_synthetic,
     load_dataset,
     load_manifest,
-    mean_graph,
-    parse_level_selector,
     write_dataset,
 )
 from .errors import (
@@ -48,8 +46,8 @@ from .training import (
     TrainConfig,
     ablation_table,
     evaluate_model,
-    forward_slices,
     gradcheck_config,
+    graph_stats,
     run_ablation,
     run_cv,
     run_gradcheck,
@@ -316,16 +314,29 @@ EXPORTS = {
 }
 
 
+def level_pick(selector):
+    """--level as (pick, level): `pick` maps a slice's LevelOutputs to the stacks
+    it selects; `level` is the depth the model must reach ("all", "pearson": 0)."""
+    if selector in ("all", "pearson"):
+        return (lambda out: out.adjacencies if selector == "all" else [out.pearson]), 0
+    level = int(selector) if selector.isdecimal() else 0
+    if level < 1:
+        raise ConfigError(f"level selector must be a 1-based index, 'all' or 'pearson', got {selector!r}")
+    return (lambda out: [out.adjacencies[level - 1]]), level
+
+
 def cmd_export(args):
-    level = parse_level_selector(args.level)
-    if args.top < 1:
+    pick, level = level_pick(args.level)
+    if args.what == "node-importance" and args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
+    if args.what == "top-edges" and not 0 < args.fraction <= 1:
+        raise ConfigError(f"--fraction must be in (0, 1], got {args.fraction}")
     outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
-    if isinstance(level, int) and level > model.config.levels:
+    if level > model.config.levels:
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
     samples = load_dataset(args.manifest)
-    mean = mean_graph((levels for _, levels in forward_slices(model, samples)), level)
+    mean = graph_stats(model, samples, pick).mean()
     write_snapshot(outdir, "export", {
         "manifest": args.manifest, "checkpoint": args.checkpoint,
         "what": args.what, "level": args.level,

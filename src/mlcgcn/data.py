@@ -272,53 +272,47 @@ def _as_matrix(a):
     return arr
 
 
-def parse_level_selector(selector):
-    """A level selector: "all", "pearson", or a 1-based level index (as int).
+class GraphStats:
+    """Streaming summaries of a dataset pass's graphs in O(C·K·n²) memory for C
+    classes and K graphs per scan: the scan-order running sum of every graph
+    and, per class and stack, a Welford mean and M2 (sum of squared
+    deviations), merged slice by slice with Chan's pairwise update."""
 
-    The upper bound of an index depends on the model and is checked by the
-    caller.
-    """
-    if selector in ("all", "pearson"):
-        return selector
-    try:
-        level = int(selector)
-    except ValueError:
-        raise ConfigError(
-            f"level selector must be a 1-based index, 'all' or 'pearson', got {selector!r}"
-        ) from None
-    if level < 1:
-        raise ConfigError(f"level selector {level} must be >= 1")
-    return level
+    def __init__(self):
+        self.total, self.count = None, 0
+        self.groups = {}  # (label, stack index) -> (members, mean [n x n], M2)
 
+    def add(self, stacks, labels):
+        """Add one slice: its K selected [B x n x n] stacks and its B labels."""
+        stacks, labels = [np.asarray(s, dtype=np.float64) for s in stacks], np.asarray(labels)
+        if any(s.ndim != 3 or s.shape[1] != s.shape[2] or len(s) != len(labels) for s in stacks):
+            raise ContractError("expected [B x n x n] stacks and B labels")
+        for scan in zip(*stacks):
+            for mat in scan:
+                self.total = mat.copy() if self.total is None else np.add(self.total, mat, out=self.total)
+                self.count += 1
+        for k, stack in enumerate(stacks):
+            for label in np.unique(labels):
+                part = stack[labels == label]
+                m, mean = len(part), part.mean(axis=0)
+                n, old_mean, m2 = self.groups.get((label, k), (0, mean, 0.0))
+                delta = mean - old_mean  # 0 for a class's first members
+                m2 += ((part - mean) ** 2).sum() + (delta * delta).sum() * (n * m / (n + m))
+                self.groups[label, k] = (n + m, old_mean + delta * (m / (n + m)), m2)
 
-def mean_graph(level_outputs, selector="all"):
-    """Elementwise mean of the selected graphs over every scan.
+    def mean(self):
+        """Elementwise mean of every graph added, summed in scan order."""
+        if not self.count:
+            raise ContractError("mean of no graphs")
+        return self.total / self.count
 
-    `level_outputs` yields one LevelOutputs per slice of scans ([B x n x n]
-    stacks), read one slice at a time; graphs are summed in scan order.
-    selector: a 1-based level index, "all" (every generated level), or
-    "pearson" (the baseline connectome).
-    """
-    selector = parse_level_selector(selector)
-    total, count = None, 0
-    for out in level_outputs:
-        if selector == "pearson":
-            stacks = [out.pearson]
-        elif selector == "all":
-            stacks = out.adjacencies
-        else:
-            if selector > len(out.adjacencies):
-                raise ConfigError(
-                    f"level selector {selector} outside [1, {len(out.adjacencies)}]"
-                )
-            stacks = [out.adjacencies[selector - 1]]
-        for scan in zip(*(stack.data for stack in stacks)):
-            for mat in map(_as_matrix, scan):
-                total = mat.copy() if total is None else np.add(total, mat, out=total)
-                count += 1
-    if total is None:
-        raise ContractError("mean_graph of an empty collection")
-    return total / count
+    def dissimilarity(self):
+        """(1/K)·Σ_k Σ_c M2[c, k] / n_c: the value `group_loss` gives for all
+        the scans added as one batch."""
+        if not self.count:
+            raise ContractError("dissimilarity of no graphs")
+        levels = len({k for _, k in self.groups})
+        return float(sum(m2 / n for n, _, m2 in self.groups.values()) * (1.0 / levels))
 
 
 def top_edges(a, fraction):

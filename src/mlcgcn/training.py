@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import GraphStats
 from .errors import ConfigError, DataError, TrainingError, ZeroNormRowsWarning
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import METRIC_LABELS, FoldReport, compute_metrics, stratified_kfold
@@ -23,9 +24,8 @@ from .seeding import derive_rng, derive_seed
 log = logging.getLogger("mlcgcn")
 
 # Scans per tape-free forward over a dataset. `mlcgcn eval` keeps only the
-# [N x c] probabilities and `mlcgcn export` a running mean graph, so their
-# memory is bounded by one slice; `intra_group_dissimilarity` keeps every
-# slice's graphs, so its memory grows with N.
+# [N x c] probabilities, and `mlcgcn export` and the ablation diagnostic a
+# GraphStats, so their memory is bounded by one slice.
 EVAL_BATCH = 16
 
 # AdamW moment decay rates and denominator floor (the usual Adam defaults).
@@ -181,32 +181,29 @@ def train_epoch(model: MLCGCN, samples, cfg: TrainConfig, opt: OptimizerState,
 
 
 def forward_slices(model: MLCGCN, samples):
-    """Tape-free batched forward over the samples, EVAL_BATCH scans at a time:
-    a generator of `predict` results, every tensor with a leading B axis. An
+    """Tape-free batched forward, EVAL_BATCH scans at a time: a generator of
+    (slice, `predict` result) pairs, every tensor with a leading B axis. An
     empty sample list raises DataError on the call itself, not on first use."""
     if not samples:
         raise DataError("the dataset lists no scans to run the model on")
     slices = (samples[lo : lo + EVAL_BATCH] for lo in range(0, len(samples), EVAL_BATCH))
-    return (model.predict(np.stack([s.series for s in part])) for part in slices)
+    return ((part, model.predict(np.stack([s.series for s in part]))) for part in slices)
 
 
 def evaluate_model(model: MLCGCN, samples):
     """Inference probabilities [N x c] and truth labels for a sample list."""
-    probs = np.concatenate([p.data for p, _ in forward_slices(model, samples)])
+    probs = np.concatenate([p.data for _, (p, _) in forward_slices(model, samples)])
     truth = np.array([s.label for s in samples], dtype=int)
     return probs, truth
 
 
-def intra_group_dissimilarity(model: MLCGCN, samples):
-    """The group loss over the whole sample list, taken as a diagnostic
-    regardless of the training alpha (no tape, so no gradients).
-
-    Memory is O(N): every slice's K graph stacks are kept and then
-    concatenated, a peak of about 2·N·K·n²·8 bytes (about 0.55 GB for 144
-    scans at n=200, K=6)."""
-    slices = [levels.adjacencies for _, levels in forward_slices(model, samples)]
-    graphs = [Tensor(np.concatenate([s[k].data for s in slices])) for k in range(model.config.levels)]
-    return float(group_loss(graphs, [s.label for s in samples], model.config.levels).data)
+def graph_stats(model: MLCGCN, samples, pick=lambda levels: levels.adjacencies):
+    """A GraphStats of the stacks `pick` selects from each slice's LevelOutputs
+    (by default the K generated graphs), fed with the slice's labels."""
+    stats = GraphStats()
+    for part, (_, levels) in forward_slices(model, samples):
+        stats.add([t.data for t in pick(levels)], [s.label for s in part])
+    return stats
 
 
 @dataclass
@@ -302,14 +299,10 @@ def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, varian
         try:
             m_cfg, t_cfg = _apply_deltas(model_cfg, train_cfg, deltas)
             result = run_cv(samples, m_cfg, t_cfg)
-            dissim = float(
-                np.mean(
-                    [
-                        intra_group_dissimilarity(model, [samples[i] for i in split[0]])
-                        for model, split in zip(result.models, result.splits)
-                    ]
-                )
-            )
+            dissim = float(np.mean([
+                graph_stats(model, [samples[i] for i in split[0]]).dissimilarity()
+                for model, split in zip(result.models, result.splits)
+            ]))
             rows.append(AblationRow(name, result.report, dissim))
         except ConfigError as exc:
             log.warning("variant %s failed: %s", name, exc)
@@ -318,11 +311,13 @@ def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, varian
 
 
 def ablation_table(rows) -> str:
-    """Comparison table: one line per variant, metrics as mean +/- std."""
+    """Comparison table: one CSV line per variant, metrics as mean +/- std; a
+    failed row's cause is one double-quoted cell, its own quotes doubled."""
     lines = [",".join(["variant", *METRIC_LABELS, "group_dissimilarity"])]
     for row in rows:
         if row.failed:
-            lines.append(f"{row.name},failed: {row.error},,,,,")
+            cause = row.error.replace('"', '""')
+            lines.append(f'{row.name},"failed: {cause}",,,,,')
             continue
         cells = row.report.mean_std_cells()
         lines.append(",".join([row.name, *cells, f"{row.group_dissimilarity:.6f}"]))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every subcommand, exit codes, reproducibility."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -11,7 +12,7 @@ import pytest
 from mlcgcn import cli
 from mlcgcn.cli import build_parser, main, resolve_config
 from mlcgcn.data import SyntheticSpec, load_connectome, load_dataset, load_manifest
-from mlcgcn.model import MLCGCN, ModelConfig
+from mlcgcn.model import MLCGCN, LevelOutputs, ModelConfig, Tensor
 from mlcgcn.training import EVAL_BATCH, TrainConfig
 
 
@@ -436,7 +437,7 @@ def _model_never_runs(*args, **kwargs):
 def test_unwritable_out_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                        argv):
     monkeypatch.setattr(cli, "evaluate_model", _model_never_runs)
-    monkeypatch.setattr(cli, "forward_slices", _model_never_runs)
+    monkeypatch.setattr(cli, "graph_stats", _model_never_runs)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     out = blocker / "sub"
@@ -444,6 +445,39 @@ def test_unwritable_out_is_usage_error(dataset_dir, trained_dir, tmp_path, capsy
     rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
     assert rc == 2
     assert str(out) in capsys.readouterr().err
+
+
+def test_export_fraction_checked_before_anything_is_loaded(dataset_dir, trained_dir, tmp_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.setattr(MLCGCN, "predict", _model_never_runs)
+    out = tmp_path / "exp"
+    rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
+               "--what", "top-edges", "--fraction", "2"])
+    assert rc == 2
+    assert "--fraction must be in (0, 1], got 2.0" in capsys.readouterr().err
+    assert not (out / "resolved.cfg").exists()
+
+
+def test_export_options_checked_only_where_read(dataset_dir, trained_dir, tmp_path):
+    common = ["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+              "--manifest", str(dataset_dir / "manifest.json")]
+    assert main([*common, "--out", str(tmp_path / "e"), "--what", "top-edges", "--top", "0"]) == 0
+    assert main([*common, "--out", str(tmp_path / "n"), "--what", "node-importance",
+                 "--fraction", "2"]) == 0
+
+
+@pytest.mark.parametrize("selector,picked,level", [
+    ("all", [0, 1], 0), ("pearson", ["pearson"], 0), ("2", [1], 2),
+], ids=["all", "pearson", "level-2"])
+def test_level_pick_selects_the_named_stacks(selector, picked, level):
+    rng = np.random.default_rng(3)
+    out = LevelOutputs([Tensor(rng.normal(size=(3, 4, 4))) for _ in range(2)],
+                       Tensor(rng.normal(size=(3, 4, 4))), [])
+    pick, got_level = cli.level_pick(selector)
+    assert got_level == level
+    want = [out.pearson if k == "pearson" else out.adjacencies[k] for k in picked]
+    assert all(a is b for a, b in zip(pick(out), want, strict=True))
 
 
 def test_export_mean_graph_matches_per_scan_forwards(dataset_dir, trained_dir, tmp_path):
@@ -632,3 +666,16 @@ def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
     assert main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
                  "--out", str(second), "--config", str(snapshot), *variant]) == 0
     assert (second / "ablation.txt").read_bytes() == (first / "ablation.txt").read_bytes()
+
+
+def test_ablate_failed_cause_with_commas_stays_one_csv_cell(dataset_dir, tmp_path):
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
+               *TRAIN_ARGS, "--variant", "bad:model.level_subset=0+5",
+               "--variant", "ok:train.alpha=0.0"])
+    assert rc == 1
+    lines = (out / "ablation.txt").read_text().splitlines()
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert rows[1][:2] == ["bad", "failed: level_subset entries must lie in [0, 2], got (0, 5)"]
+    assert lines[2] == ",".join(rows[2])  # a row that ran is written unquoted

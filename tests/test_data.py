@@ -9,20 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlcgcn.cli import level_pick
 from mlcgcn.data import (
     DatasetManifest,
+    GraphStats,
     SyntheticSpec,
     export_connectome,
     generate_synthetic,
     load_connectome,
     load_dataset,
     load_manifest,
-    mean_graph,
     node_importance,
     top_edges,
     write_dataset,
 )
 from mlcgcn.errors import ConfigError, ContractError, DataError
+from mlcgcn.losses import group_loss
 from mlcgcn.model import LevelOutputs, Tensor, pearson_connectome
 
 
@@ -182,58 +184,78 @@ def test_write_dataset_refuses_nonempty_dir(tmp_path):
 # graph summaries
 
 
-def _outputs_with(adjacencies, pearson=None):
-    """The LevelOutputs of a one-scan slice: every graph a [1 x n x n] stack."""
-    n = adjacencies[0].shape[0]
-    return LevelOutputs(
-        adjacencies=[Tensor(a[None]) for a in adjacencies],
-        pearson=Tensor((pearson if pearson is not None else np.eye(n))[None]),
-        embeddings=[],
-    )
+def _mean_of(*slices):
+    """GraphStats.mean over slices given as lists of [B x n x n] stacks, all
+    of one class."""
+    stats = GraphStats()
+    for stacks in slices:
+        stats.add(stacks, [0] * len(stacks[0]))
+    return stats.mean()
 
 
 def test_mean_graph_single_sample_identity():
     a = np.arange(9.0).reshape(3, 3)
-    out = mean_graph([_outputs_with([a])], selector=1)
-    np.testing.assert_array_equal(out, a)
+    np.testing.assert_array_equal(_mean_of([a[None]]), a)
 
 
 def test_mean_graph_cancellation():
     a = np.array([[1.0, 0.5], [0.5, 1.0]])
     b = np.array([[1.0, -0.5], [-0.5, 1.0]])
-    out = mean_graph([_outputs_with([a]), _outputs_with([b])], selector=1)
-    np.testing.assert_array_equal(out, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_array_equal(_mean_of([a[None]], [b[None]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_mean_graph_idempotent_on_identical_graphs():
     a = np.array([[1.0, 0.3], [0.3, 1.0]])
-    out = mean_graph([_outputs_with([a]) for _ in range(5)], selector="all")
-    np.testing.assert_array_equal(out, a)
+    np.testing.assert_array_equal(_mean_of(*[[a[None]]] * 5), a)
 
 
 def test_mean_graph_pearson_selector():
     f = np.array([[1.0, 0.7], [0.7, 1.0]])
-    out = mean_graph([_outputs_with([np.eye(2)], pearson=f)], selector="pearson")
-    np.testing.assert_array_equal(out, f)
+    pick, _ = level_pick("pearson")
+    out = LevelOutputs(adjacencies=[Tensor(np.eye(2)[None])], pearson=Tensor(f[None]), embeddings=[])
+    np.testing.assert_array_equal(_mean_of([t.data for t in pick(out)]), f)
 
 
 def test_mean_graph_over_slices_of_unequal_size_is_mean_over_scans():
     rng = np.random.default_rng(5)
     graphs = rng.normal(size=(7, 2, 4, 4))  # [scans, levels, n, n]
-    slices = [
-        LevelOutputs(adjacencies=[Tensor(graphs[lo:hi, k]) for k in range(2)],
-                     pearson=Tensor(graphs[lo:hi, 0]), embeddings=[])
-        for lo, hi in ((0, 5), (5, 7))
-    ]
-    np.testing.assert_allclose(mean_graph(slices, selector="all"), graphs.mean(axis=(0, 1)),
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(mean_graph(slices, selector=2), graphs[:, 1].mean(axis=0),
-                               rtol=0, atol=1e-12)
+    cuts = ((0, 5), (5, 7))
+    every = _mean_of(*[[graphs[lo:hi, k] for k in range(2)] for lo, hi in cuts])
+    np.testing.assert_allclose(every, graphs.mean(axis=(0, 1)), rtol=0, atol=1e-12)
+    second = _mean_of(*[[graphs[lo:hi, 1]] for lo, hi in cuts])
+    np.testing.assert_allclose(second, graphs[:, 1].mean(axis=0), rtol=0, atol=1e-12)
 
 
 def test_mean_graph_empty_rejected():
+    for summary in (GraphStats().mean, GraphStats().dissimilarity):
+        with pytest.raises(ContractError):
+            summary()
+
+
+def test_graph_stats_rejects_a_label_count_unlike_the_stacks():
     with pytest.raises(ContractError):
-        mean_graph([], selector="all")
+        GraphStats().add([np.zeros((3, 2, 2))], [0, 1])
+
+
+def test_graph_stats_split_classes_match_group_loss_and_scan_order_sum():
+    # Class 0 is split across the two slices; class 2 has one member.
+    rng = np.random.default_rng(8)
+    labels = np.array([0, 1, 0, 1, 0, 1, 0, 2])
+    stacks = [rng.normal(size=(len(labels), 5, 5)) for _ in range(3)]
+    cuts = ((0, 3), (3, 8))
+    stats, without_lone = GraphStats(), GraphStats()
+    for lo, hi in cuts:
+        stats.add([s[lo:hi] for s in stacks], labels[lo:hi])
+        keep = slice(lo, min(hi, 7))
+        without_lone.add([s[keep] for s in stacks], labels[keep])
+    want = group_loss([Tensor(s) for s in stacks], labels, len(stacks)).data
+    assert stats.dissimilarity() == pytest.approx(float(want), rel=1e-12)
+    assert stats.dissimilarity() == without_lone.dissimilarity()
+    total = np.zeros((5, 5))
+    for u in range(len(labels)):
+        for s in stacks:
+            total = total + s[u]
+    np.testing.assert_array_equal(stats.mean(), total / (len(labels) * len(stacks)))
 
 
 def test_top_edges_full_fraction():

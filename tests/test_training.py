@@ -20,7 +20,7 @@ from mlcgcn.training import (
     adamw_step,
     class_balanced_batches,
     evaluate_model,
-    intra_group_dissimilarity,
+    graph_stats,
     mixup_batch,
     run_ablation,
     run_cv,
@@ -310,11 +310,11 @@ def test_evaluate_model_shapes():
 def test_intra_group_dissimilarity_nonnegative():
     samples = small_dataset(per_class=3)
     model = MLCGCN(small_model_config(), rng=derive_rng(10, "init"))
-    assert intra_group_dissimilarity(model, samples) >= 0.0
+    assert graph_stats(model, samples).dissimilarity() >= 0.0
 
 
 def test_intra_group_dissimilarity_matches_numpy_reference():
-    samples = small_dataset(per_class=3, classes=3)
+    samples = small_dataset(per_class=6, classes=3)  # 16 + 2 scans: class 2 spans both slices
     model = MLCGCN(small_model_config(classes=3), rng=derive_rng(12, "init"))
     graphs = [[a.data for a in model.predict(Tensor(s.series))[1].adjacencies] for s in samples]
     labels = np.array([s.label for s in samples])
@@ -324,7 +324,7 @@ def test_intra_group_dissimilarity_matches_numpy_reference():
             members = np.stack([graphs[u][level] for u in np.flatnonzero(labels == cls)])
             want += ((members - members.mean(axis=0)) ** 2).sum() / len(members)
     want /= model.config.levels
-    assert intra_group_dissimilarity(model, samples) == pytest.approx(want, rel=1e-12)
+    assert graph_stats(model, samples).dissimilarity() == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
