@@ -53,12 +53,11 @@ def main():
         "--manifest", str(data_dir / "manifest.json"),
         "--out", str(work / "eval"),
     ])
-    for what in ("mean-graph", "top-edges", "node-importance"):
-        run([
-            "export", "--checkpoint", str(train_dir / "fold0.ckpt"),
-            "--manifest", str(data_dir / "manifest.json"),
-            "--out", str(work / "export"), "--what", what,
-        ])
+    run([
+        "export", "--checkpoint", str(train_dir / "fold0.ckpt"),
+        "--manifest", str(data_dir / "manifest.json"),
+        "--out", str(work / "export"),
+    ])
     print(f"done; artifacts under {work}")
 
 

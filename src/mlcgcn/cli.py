@@ -145,13 +145,13 @@ def _out_dir(args):
     return path
 
 
-def write_snapshot(outdir, subcommand, run_extras, configs=None):
-    """Write resolved.cfg: `run.*` bookkeeping lines, then every field of each
-    config object in `configs` (scope -> dataclass) as a `scope.field` key, so
-    `--config resolved.cfg` reproduces the run."""
-    lines = [f"run.subcommand = {subcommand}"]
-    for key, value in run_extras.items():
-        lines.append(f"run.{key} = {value}")
+def write_snapshot(outdir, args, configs=None):
+    """Write resolved.cfg: a `run.<dest>` line per parsed argument (a record of
+    the run, ignored on input), then every field of each config object in
+    `configs` (scope -> dataclass) as a `scope.field` key, so `--config
+    resolved.cfg` reproduces the run."""
+    lines = [f"run.{dest} = {value}" for dest, value in vars(args).items()
+             if dest not in ("func", "out", "config", "set")]
     keys = {f"{scope}.{f.name}": getattr(cfg, f.name)
             for scope, cfg in (configs or {}).items() for f in dataclasses.fields(cfg)}
     for key in sorted(keys):
@@ -198,7 +198,7 @@ def cmd_synth(args):
         classes=spec.class_names(), n_rois=spec.n_rois, series_len=spec.series_len
     )
     manifest_path = write_dataset(samples, truth, manifest, outdir, force=args.force)
-    write_snapshot(outdir, "synth", {}, {"synth": spec})
+    write_snapshot(outdir, args, {"synth": spec})
     print(f"wrote {len(samples)} scans to {manifest_path}")
     for name in manifest.classes:
         print(f"  {name}: {spec.per_class}")
@@ -214,8 +214,7 @@ def _cv_setup(args):
     model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
     outdir = _out_dir(args)
-    write_snapshot(outdir, args.subcommand, {"manifest": args.manifest},
-                   {"model": model_cfg, "train": train_cfg})
+    write_snapshot(outdir, args, {"model": model_cfg, "train": train_cfg})
     return samples, model_cfg, train_cfg, outdir
 
 
@@ -244,7 +243,7 @@ def cmd_eval(args):
     samples = load_dataset(args.manifest)
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
-    write_snapshot(outdir, "eval", {"manifest": args.manifest, "checkpoint": args.checkpoint})
+    write_snapshot(outdir, args)
     lines = [f"{name} = {cell}" for name, cell in zip(METRIC_LABELS, report.percent_cells())]
     text = "\n".join(lines) + "\n"
     (outdir / "metrics.txt").write_text(text, encoding="utf-8")
@@ -252,19 +251,21 @@ def cmd_eval(args):
     return 0
 
 
+def _parse_variant(spec):
+    """One --variant NAME:KEY=VALUE,... as (name, typed deltas). The name is a
+    bare CSV cell of ablation.txt, so it must be non-empty and hold no ',', '"'
+    or line break."""
+    name, _, rest = spec.partition(":")
+    if not name or any(c in name for c in ',"\r\n'):
+        raise ConfigError(f"--variant {spec!r}: the name must be non-empty and hold no ',', "
+                          "'\"' or line break")
+    pairs = [pair.partition("=") for pair in rest.split(",")] if rest else []
+    return name, {key: _parse_key(key, value, "ablate") for key, _, value in pairs}
+
+
 def cmd_ablate(args):
+    variants = [_parse_variant(spec) for spec in args.variant] if args.variant else TABLE_VARIANTS
     samples, model_cfg, train_cfg, outdir = _cv_setup(args)
-    variants = TABLE_VARIANTS
-    if args.variant:
-        variants = []
-        for spec in args.variant:
-            name, _, rest = spec.partition(":")
-            deltas = {}
-            if rest:
-                for pair in rest.split(","):
-                    key, _, value = pair.partition("=")
-                    deltas[key] = _parse_key(key, value, args.subcommand)
-            variants.append((name, deltas))
     rows = run_ablation(samples, model_cfg, train_cfg, variants)
     table = ablation_table(rows)
     (outdir / "ablation.txt").write_text(table, encoding="utf-8")
@@ -288,7 +289,7 @@ def cmd_gradcheck(args):
     zero_rows = {}
     results = run_gradcheck(cfg, args.tolerance, seed=args.seed, zero_rows=zero_rows)
     elapsed = time.perf_counter() - t0
-    write_snapshot(outdir, "gradcheck", {"tolerance": args.tolerance, "seed": args.seed})
+    write_snapshot(outdir, args)
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, err, ok in results:
@@ -306,14 +307,6 @@ def cmd_gradcheck(args):
     return 1
 
 
-# export --what: (output file name, export_connectome format)
-EXPORTS = {
-    "mean-graph": ("mean_graph.csv", "matrix"),
-    "top-edges": ("top_edges.csv", "edge-list"),
-    "node-importance": ("node_importance.csv", "node-importance"),
-}
-
-
 def level_pick(selector):
     """--level as (pick, level): `pick` maps a slice's LevelOutputs to the stacks
     it selects; `level` is the depth the model must reach ("all", "pearson": 0)."""
@@ -327,9 +320,9 @@ def level_pick(selector):
 
 def cmd_export(args):
     pick, level = level_pick(args.level)
-    if args.what == "node-importance" and args.top < 1:
+    if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
-    if args.what == "top-edges" and not 0 < args.fraction <= 1:
+    if not 0 < args.fraction <= 1:
         raise ConfigError(f"--fraction must be in (0, 1], got {args.fraction}")
     outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
@@ -337,14 +330,11 @@ def cmd_export(args):
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
     samples = load_dataset(args.manifest)
     mean = graph_stats(model, samples, pick).mean()
-    write_snapshot(outdir, "export", {
-        "manifest": args.manifest, "checkpoint": args.checkpoint,
-        "what": args.what, "level": args.level,
-    })
-    name, fmt = EXPORTS[args.what]
-    path = outdir / name
-    export_connectome(mean, path, fmt=fmt, fraction=args.fraction, top=args.top)
-    print(path)
+    write_snapshot(outdir, args)
+    for name, fmt in (("mean_graph.csv", "matrix"), ("top_edges.csv", "edge-list"),
+                      ("node_importance.csv", "node-importance")):
+        export_connectome(mean, outdir / name, fmt=fmt, fraction=args.fraction, top=args.top)
+        print(outdir / name)
     return 0
 
 
@@ -400,11 +390,10 @@ def build_parser():
     p.add_argument("--levels", type=int, default=2)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("export", help="export connectome summaries from a trained model")
+    p = sub.add_parser("export", help="write a model's mean graph, top edges and node importance")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--what", required=True, choices=EXPORTS)
     p.add_argument("--level", default="all",
                    help="level selector: a 1-based index, 'all', or 'pearson'")
     p.add_argument("--fraction", type=float, default=0.01)

@@ -11,9 +11,10 @@ import pytest
 
 from mlcgcn import cli
 from mlcgcn.cli import build_parser, main, resolve_config
-from mlcgcn.data import SyntheticSpec, load_connectome, load_dataset, load_manifest
+from mlcgcn.data import (SyntheticSpec, export_connectome, load_connectome, load_dataset,
+                         load_manifest)
 from mlcgcn.model import MLCGCN, LevelOutputs, ModelConfig, Tensor
-from mlcgcn.training import EVAL_BATCH, TrainConfig
+from mlcgcn.training import EVAL_BATCH, TrainConfig, graph_stats
 
 
 SYNTH_ARGS = [
@@ -170,11 +171,30 @@ def test_removed_model_keys_rejected(tmp_path, capsys, key):
 @pytest.mark.parametrize("argv", [
     ["gradcheck"],
     ["eval", "--checkpoint", "c.ckpt", "--manifest", "m.json"],
-    ["export", "--checkpoint", "c.ckpt", "--manifest", "m.json", "--what", "mean-graph"],
+    ["export", "--checkpoint", "c.ckpt", "--manifest", "m.json"],
 ])
 def test_config_options_refused_where_unused(argv, capsys):
     assert main([*argv, "--set", "x=1"]) == 2
     assert "unrecognized arguments: --set x=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", *SYNTH_ARGS, "--force"],
+    ["train", "--manifest", "{manifest}", *TRAIN_ARGS],
+    ["eval", "--checkpoint", "{ckpt}", "--manifest", "{manifest}"],
+    ["ablate", "--manifest", "{manifest}", *TRAIN_ARGS, "--variant", "no-group:train.alpha=0.0"],
+    ["gradcheck", "--n-rois", "4", "--series-len", "12", "--levels", "1"],
+    ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}", "--top", "3"],
+], ids=["synth", "train", "eval", "ablate", "gradcheck", "export"])
+def test_snapshot_records_every_argument(dataset_dir, trained_dir, tmp_path, argv):
+    paths = {"manifest": dataset_dir / "manifest.json", "ckpt": trained_dir / "fold0.ckpt"}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    lines = (tmp_path / "out" / "resolved.cfg").read_text().splitlines()
+    recorded = dict(line.split(" = ", 1) for line in lines if line.startswith("run."))
+    parsed = vars(build_parser().parse_args(argv))
+    assert recorded == {f"run.{dest}": str(value) for dest, value in parsed.items()
+                        if dest not in ("func", "out", "config", "set")}
 
 
 def test_unknown_subcommand_usage_error():
@@ -370,7 +390,7 @@ def test_export_node_importance_row_count(dataset_dir, trained_dir, tmp_path):
     rc = main([
         "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
         "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(out), "--what", "node-importance", "--top", "5",
+        "--out", str(out), "--top", "5",
     ])
     assert rc == 0
     lines = (out / "node_importance.csv").read_text().strip().splitlines()
@@ -383,7 +403,7 @@ def test_export_top_edges_count(dataset_dir, trained_dir, tmp_path):
     rc = main([
         "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
         "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(out), "--what", "top-edges", "--fraction", "0.5",
+        "--out", str(out), "--fraction", "0.5",
     ])
     assert rc == 0
     lines = (out / "top_edges.csv").read_text().strip().splitlines()
@@ -396,7 +416,7 @@ def test_export_mean_graph_round_trips(dataset_dir, trained_dir, tmp_path):
     rc = main([
         "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
         "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(out), "--what", "mean-graph", "--level", "pearson",
+        "--out", str(out), "--level", "pearson",
     ])
     assert rc == 0
     mat = load_connectome(out / "mean_graph.csv")
@@ -411,9 +431,9 @@ EXPORT_ARGS = ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}",
 @pytest.mark.parametrize("argv,cause", [
     (["train", "--manifest", "{manifest}", "--out", "{tmp}/tr", "--config", "{tmp}/missing.cfg"],
      "cannot read config file"),
-    ([*EXPORT_ARGS, "--what", "mean-graph", "--level", "foo"], "level selector"),
-    ([*EXPORT_ARGS, "--what", "node-importance", "--top", "-1"], "--top must be >= 1"),
-    ([*EXPORT_ARGS, "--what", "node-importance", "--top", "0"], "--top must be >= 1"),
+    ([*EXPORT_ARGS, "--level", "foo"], "level selector"),
+    ([*EXPORT_ARGS, "--top", "-1"], "--top must be >= 1"),
+    ([*EXPORT_ARGS, "--top", "0"], "--top must be >= 1"),
 ], ids=["missing-config", "export-level-foo", "export-top-negative", "export-top-zero"])
 def test_unreadable_input_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, argv, cause):
     paths = {"manifest": dataset_dir / "manifest.json", "ckpt": trained_dir / "fold0.ckpt",
@@ -432,7 +452,7 @@ def _model_never_runs(*args, **kwargs):
     ["train", "--manifest", "{manifest}", *TRAIN_ARGS],
     ["gradcheck"],
     ["eval", "--checkpoint", "{ckpt}", "--manifest", "{manifest}"],
-    ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}", "--what", "mean-graph"],
+    ["export", "--checkpoint", "{ckpt}", "--manifest", "{manifest}"],
 ], ids=["synth", "train", "gradcheck", "eval", "export"])
 def test_unwritable_out_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                        argv):
@@ -453,18 +473,10 @@ def test_export_fraction_checked_before_anything_is_loaded(dataset_dir, trained_
     out = tmp_path / "exp"
     rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
                "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
-               "--what", "top-edges", "--fraction", "2"])
+               "--fraction", "2"])
     assert rc == 2
     assert "--fraction must be in (0, 1], got 2.0" in capsys.readouterr().err
     assert not (out / "resolved.cfg").exists()
-
-
-def test_export_options_checked_only_where_read(dataset_dir, trained_dir, tmp_path):
-    common = ["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
-              "--manifest", str(dataset_dir / "manifest.json")]
-    assert main([*common, "--out", str(tmp_path / "e"), "--what", "top-edges", "--top", "0"]) == 0
-    assert main([*common, "--out", str(tmp_path / "n"), "--what", "node-importance",
-                 "--fraction", "2"]) == 0
 
 
 @pytest.mark.parametrize("selector,picked,level", [
@@ -486,7 +498,7 @@ def test_export_mean_graph_matches_per_scan_forwards(dataset_dir, trained_dir, t
     rc = main([
         "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
         "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(out), "--what", "mean-graph", "--level", "all",
+        "--out", str(out), "--level", "all",
     ])
     assert rc == 0
     model = MLCGCN.load(trained_dir / "fold0.ckpt")
@@ -498,6 +510,10 @@ def test_export_mean_graph_matches_per_scan_forwards(dataset_dir, trained_dir, t
 
 
 def test_export_runs_one_forward_per_slice(dataset_dir, trained_dir, tmp_path, monkeypatch):
+    # One call writes all three summaries from one pass of ceil(n / EVAL_BATCH) forwards.
+    model = MLCGCN.load(trained_dir / "fold0.ckpt")
+    mean = graph_stats(model, load_dataset(dataset_dir / "manifest.json"),
+                       cli.level_pick("all")[0]).mean()
     calls = []
     predict = MLCGCN.predict
 
@@ -509,16 +525,20 @@ def test_export_runs_one_forward_per_slice(dataset_dir, trained_dir, tmp_path, m
     rc = main([
         "export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
         "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(tmp_path / "exp"), "--what", "node-importance",
+        "--out", str(tmp_path / "exp"),
     ])
     assert rc == 0
     n = len(load_manifest(dataset_dir / "manifest.json").scans)
     assert calls == [EVAL_BATCH, n - EVAL_BATCH]  # ceil(n / EVAL_BATCH) calls, not n
+    for name, fmt in [("mean_graph.csv", "matrix"), ("top_edges.csv", "edge-list"),
+                      ("node_importance.csv", "node-importance")]:
+        export_connectome(mean, tmp_path / name, fmt=fmt, fraction=0.01, top=20)
+        assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
     ["eval"],
-    ["export", "--what", "mean-graph"],
+    ["export"],
 ], ids=["eval", "export"])
 def test_empty_manifest_is_usage_error(dataset_dir, trained_dir, tmp_path, capsys, argv):
     doc = json.loads((dataset_dir / "manifest.json").read_text())
@@ -545,7 +565,7 @@ def test_export_level_checked_before_checkpoint(dataset_dir, tmp_path, capsys):
     missing = tmp_path / "no-such.ckpt"
     rc = main(["export", "--checkpoint", str(missing),
                "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "exp"),
-               "--what", "mean-graph", "--level", "foo"])
+               "--level", "foo"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "'foo'" in err and str(missing) not in err
@@ -555,7 +575,7 @@ def test_export_level_above_model_depth_refused_before_data(trained_dir, tmp_pat
     # The manifest does not exist: the depth check must come first.
     rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
                "--manifest", str(tmp_path / "no-such.json"), "--out", str(tmp_path / "exp"),
-               "--what", "mean-graph", "--level", "3"])
+               "--level", "3"])
     assert rc == 2
     assert "level selector 3 outside [1, 2]" in capsys.readouterr().err
 
@@ -589,7 +609,7 @@ def test_export_node_importance_default_is_twenty_rows(wide_trained, tmp_path):
     rc = main([
         "export", "--checkpoint", str(train / "fold0.ckpt"),
         "--manifest", str(data / "manifest.json"),
-        "--out", str(out), "--what", "node-importance",
+        "--out", str(out),
     ])
     assert rc == 0
     lines = (out / "node_importance.csv").read_text().strip().splitlines()
@@ -653,6 +673,29 @@ def test_ablate_bad_variant_value_is_a_config_error(dataset_dir, tmp_path, capsy
     assert key in capsys.readouterr().err
 
 
+def _dataset_never_loaded(*args, **kwargs):
+    raise AssertionError("the dataset was loaded before every --variant was checked")
+
+
+@pytest.mark.parametrize("variants,named", [
+    (["a,b:train.alpha=0"], "'a,b:train.alpha=0'"),
+    (['a"b:train.alpha=0'], "'a\"b:train.alpha=0'"),
+    (["a\nb:train.alpha=0"], "'a\\nb:train.alpha=0'"),
+    ([":train.alpha=0"], "':train.alpha=0'"),
+    (["ok:train.alpha=0", "x:model.levels=two"], "model.levels"),
+], ids=["comma", "quote", "newline", "empty", "bad-value-in-second"])
+def test_ablate_variants_checked_before_anything_is_loaded(dataset_dir, tmp_path, capsys,
+                                                           monkeypatch, variants, named):
+    monkeypatch.setattr(cli, "load_dataset", _dataset_never_loaded)
+    out = tmp_path / "abl"
+    argv = ["ablate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out)]
+    for spec in variants:
+        argv += ["--variant", spec]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "resolved.cfg").exists()
+
+
 def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
     variant = ["--variant", "no-group:train.alpha=0.0"]
     first, second = tmp_path / "a1", tmp_path / "a2"
@@ -662,7 +705,7 @@ def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
     keys = {line.split(" = ")[0] for line in snapshot.read_text().splitlines()}
     expected = {f"{scope}.{f.name}" for scope, cls in (("model", ModelConfig), ("train", TrainConfig))
                 for f in dataclasses.fields(cls)}
-    assert keys - {"run.subcommand", "run.manifest"} == expected
+    assert keys - {"run.subcommand", "run.manifest", "run.variant"} == expected
     assert main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
                  "--out", str(second), "--config", str(snapshot), *variant]) == 0
     assert (second / "ablation.txt").read_bytes() == (first / "ablation.txt").read_bytes()
