@@ -294,17 +294,41 @@ def mean_axis(x, axis):
 # neural-network kernels
 
 
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_pull(g, y):
+    """Adjoint of the softmax input, given the softmax output y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(x):
     """Row-wise softmax along the last axis, stabilized by max-subtraction."""
     x = _as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data)
 
     def pull(g, acc):
-        acc(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        acc(x, _softmax_pull(g, y))
 
     return _op(y, (x,), pull)
+
+
+def _norm_rows(x):
+    """The rows of x normalised to mean 0 / variance 1, and their inverse stds."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
+    return xc * inv, inv
+
+
+def _norm_rows_pull(g, xhat, inv, gain):
+    """Adjoints of x, gain and shift for the layer norm xhat * gain + shift."""
+    d = xhat.shape[-1]
+    gx = g * gain
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
 def layer_norm(x, gain, shift):
@@ -316,28 +340,11 @@ def layer_norm(x, gain, shift):
             f"layer_norm gain/shift must have shape ({d},), got "
             f"{gain.data.shape} and {shift.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
+    xhat, inv = _norm_rows(x.data)
 
     def pull(g, acc):
-        if shift.requires_grad:
-            acc(shift, g.reshape(-1, d).sum(axis=0))
-        if gain.requires_grad:
-            acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            acc(
-                x,
-                inv
-                * (
-                    gx
-                    - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-                ),
-            )
+        for t, grad in zip((x, gain, shift), _norm_rows_pull(g, xhat, inv, gain.data)):
+            acc(t, grad)
 
     return _op(xhat * gain.data + shift.data, (x, gain, shift), pull)
 
@@ -346,7 +353,8 @@ def dropout(x, rate, rng=None):
     """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
 
     Dropout is on iff an rng is given: the identity without one or at rate 0,
-    otherwise a product with the constant mask keep/(1-rate) drawn from it.
+    otherwise a product with the mask keep/(1-rate) drawn from it. The record
+    keeps the mask as bool.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
@@ -354,23 +362,113 @@ def dropout(x, rate, rng=None):
     if rng is None or rate == 0.0:
         return x
     keep = rng.random(x.data.shape) >= rate
-    return mul(x, Tensor(keep * (1.0 / (1.0 - rate))))
+    scale = 1.0 / (1.0 - rate)
+
+    def pull(g, acc):
+        acc(x, g * keep * scale)
+
+    return _op(x.data * keep * scale, (x,), pull)
 
 
-def cosine_graph(x):
+# The blocks of `encoder_layer`, in the order its record lists them after h.
+ENCODER_BLOCKS = ("ln1.gain", "ln1.shift", "wq", "wk", "wv", "wo", "ln2.gain", "ln2.shift",
+                  "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln_out.gain", "ln_out.shift")
+
+
+def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
+    """One pre-norm transformer-encoder layer over h [..., n x l] whose tokens
+    are the l columns; the model width n splits across `heads`.
+
+    On the token rows x [..., l x n]: x += dropout(attention(ln1(x))·wo), with
+    per-head softmax(q·kᵀ/√d)·v and q, k, v = ln1(x)·wq, ·wk, ·wv; then
+    x += dropout(ffn(ln2(x))), a ReLU feed-forward net; then ln_out(x),
+    transposed back to [..., n x l]. `blocks` maps each ENCODER_BLOCKS name
+    to its tensor. `keep` is None (no dropout) or the attention and the
+    feed-forward bool masks [..., l x n]; survivors scale by 1/(1-rate).
+    One record, which keeps each norm's normalised rows and inverse stds,
+    the ln1 and ln2 outputs, q, k, v, the attention weights, the merged
+    heads, the hidden activations and the masks as bool.
+    """
+    h = _as_tensor(h)
+    tensors = tuple(_as_tensor(blocks[name]) for name in ENCODER_BLOCKS)
+    g1, s1, wq, wk, wv, wo, g2, s2, w1, b1, w2, b2, g3, s3 = (t.data for t in tensors)
+    if h.data.ndim < 2 or h.data.shape[-2] % heads:
+        raise ShapeError(f"encoder_layer expects [..., n x l] with n divisible by "
+                         f"{heads} heads, got shape {h.data.shape}")
+    *lead, n, l = h.data.shape
+    d = n // heads
+    m1, m2 = keep if keep is not None else (None, None)
+    scale = 1.0 / (1.0 - rate)
+
+    def drop(a, mask):
+        return a if mask is None else a * mask * scale
+
+    def dense(a, w):  # a [..., p] @ w [p x r] as one 2-D product
+        return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[1])
+
+    def split(a):  # [..., l x n] -> a [..., heads x l x d] view
+        return np.swapaxes(a.reshape(*lead, l, heads, d), -3, -2)
+
+    def merge(a):  # [..., heads x l x d] -> [..., l x n]
+        return np.swapaxes(a, -3, -2).reshape(*lead, l, n)
+
+    x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
+    xhat1, inv1 = _norm_rows(x)
+    a1 = xhat1 * g1 + s1
+    q, k, v = dense(a1, wq), dense(a1, wk), dense(a1, wv)
+    att = _softmax(np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(d)))
+    merged = merge(np.matmul(att, split(v)))
+    x = x + drop(dense(merged, wo), m1)
+    xhat2, inv2 = _norm_rows(x)
+    a2 = xhat2 * g2 + s2
+    hid = np.maximum(dense(a2, w1) + b1, 0.0)
+    x = x + drop(dense(hid, w2) + b2, m2)
+    xhat3, inv3 = _norm_rows(x)
+    out = np.ascontiguousarray(np.swapaxes(xhat3 * g3 + s3, -1, -2))
+
+    def pull(g, acc):
+        def wgrad(a, da):  # adjoint of w in dense(a, w)
+            return a.reshape(-1, a.shape[-1]).T @ da.reshape(-1, da.shape[-1])
+
+        gx, gg3, gs3 = _norm_rows_pull(np.ascontiguousarray(np.swapaxes(g, -1, -2)),
+                                       xhat3, inv3, g3)
+        df = drop(gx, m2)
+        dpre = dense(df, w2.T) * (hid > 0.0)
+        da2, gg2, gs2 = _norm_rows_pull(dense(dpre, w1.T), xhat2, inv2, g2)
+        gx = gx + da2
+        datt = drop(gx, m1)
+        do = split(dense(datt, wo.T))
+        ds = _softmax_pull(np.matmul(do, np.swapaxes(split(v), -1, -2)), att) * (1.0 / np.sqrt(d))
+        dq = merge(np.matmul(ds, split(k)))
+        dk = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q)))
+        dv = merge(np.matmul(np.swapaxes(att, -1, -2), do))
+        da1 = dense(dq, wq.T) + dense(dk, wk.T) + dense(dv, wv.T)
+        dx, gg1, gs1 = _norm_rows_pull(da1, xhat1, inv1, g1)
+        grads = (np.swapaxes(gx + dx, -1, -2), gg1, gs1,
+                 wgrad(a1, dq), wgrad(a1, dk), wgrad(a1, dv), wgrad(merged, datt), gg2, gs2,
+                 wgrad(a2, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
+                 wgrad(hid, df), df.reshape(-1, n).sum(axis=0), gg3, gs3)
+        for t, grad in zip((h, *tensors), grads):
+            acc(t, grad)
+
+    return _op(out, (h, *tensors), pull)
+
+
+def cosine_graph(x, site):
     """Cosine-similarity graph [..., n x n] of the rows of x [..., n x d]: the
     unit-norm rows' Gram matrix, symmetrized, clipped to [-1, 1], diagonal 1.
     This is the one normalised-Gram kernel: the Pearson connectome is this
     graph of the mean-centred series. Zero-norm rows stay zero (with a
-    `ZeroNormRowsWarning`) and get no gradient. One record, whose pull maps
-    the graph adjoint straight back to the rows of x."""
+    `ZeroNormRowsWarning` that names the caller's `site`) and get no
+    gradient. One record, whose pull maps the graph adjoint straight back to
+    the rows of x."""
     x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"cosine_graph expects [..., n x d], got shape {x.data.shape}")
     norms = np.sqrt((x.data * x.data).sum(axis=-1))
     zero = norms < 1e-150
     if zero.any():
-        warnings.warn(ZeroNormRowsWarning("cosine_graph", int(zero.sum())), stacklevel=2)
+        warnings.warn(ZeroNormRowsWarning(site, int(zero.sum())), stacklevel=2)
     safe = np.where(zero, 1.0, norms)[..., None]
     y = x.data / safe
     a = np.matmul(y, np.ascontiguousarray(np.swapaxes(y, -1, -2)))

@@ -119,18 +119,18 @@ def _parse_key(key, value, subcommand):
 
 
 def resolve_config(args):
-    """Merge config file and --set overrides into a typed key->value dict."""
+    """Merge config file and --set overrides into a typed key->value dict.
+
+    A config file's `run.*` lines are a snapshot's record of its run and are
+    skipped; a `--set run.*` is an unknown key like any other."""
     raw = parse_config_file(args.config) if args.config else {}
+    raw = {key: value for key, value in raw.items() if not key.startswith("run.")}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    return {
-        key: _parse_key(key, value, args.subcommand)
-        for key, value in raw.items()
-        if not key.startswith("run.")  # snapshot bookkeeping keys are ignored on input
-    }
+    return {key: _parse_key(key, value, args.subcommand) for key, value in raw.items()}
 
 
 def _dataclass_from_keys(cls, prefix, typed):

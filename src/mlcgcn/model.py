@@ -198,12 +198,13 @@ def pearson_connectome(x) -> Tensor:
         raise ShapeError(f"pearson_connectome expects [..., n x L], got shape {data.shape}")
     centred = data - data.mean(axis=-1, keepdims=True)
     centred[data.max(axis=-1) == data.min(axis=-1)] = 0.0
-    return ad.cosine_graph(centred)
+    return ad.cosine_graph(centred, "pearson")
 
 
-def generate_adjacency(h_level: Tensor) -> Tensor:
-    """Cosine-similarity graph [..., n x n] of the feature rows: one `ad.cosine_graph` record."""
-    return ad.cosine_graph(h_level)
+def generate_adjacency(h_level: Tensor, level) -> Tensor:
+    """Cosine-similarity graph [..., n x n] of level `level`'s feature rows: one
+    `ad.cosine_graph` record, whose zero-norm-row warning names the level."""
+    return ad.cosine_graph(h_level, f"level {level}")
 
 
 def _dense(x, w):
@@ -273,44 +274,21 @@ def _mlp2(x, params, prefix):
     return ad.add(_dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
-def _multi_head_attention(x, params, prefix, heads):
-    """Self-attention over x [..., tokens x d_model]; d_model must split across heads.
-
-    Each head's queries, keys and values are one [..., heads x d x tokens]
-    stack, so all heads run through one stacked product per step.
-    """
-    *lead, tokens, d_model = x.data.shape
-    d = d_model // heads
-
-    def split(name):  # [..., heads, d, tokens]
-        projected = ad.transpose(_dense(x, params[prefix + name]))
-        return ad.reshape(projected, (*lead, heads, d, tokens))
-
-    q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
-    scores = ad.mul(ad.bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
-    attn = ad.softmax_rows(scores)  # [..., heads, tokens, tokens]
-    merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
-    return _dense(ad.transpose(merged_t), params[prefix + "wo"])
-
-
 def sfe_forward(h_in, params, cfg: ModelConfig, level, rng=None):
     """Spatial pathway: one transformer-encoder layer over the transposed features.
 
-    The [n x l] input is transposed to [l x n] (tokens are embedding positions,
-    the model width is the ROI axis), passed through pre-norm attention and
-    feed-forward sublayers plus a final layer norm, and transposed back.
+    The tokens are the l embedding positions and the model width is the ROI
+    axis: pre-norm attention and feed-forward sublayers plus a final layer
+    norm, as one `ad.encoder_layer` record. With dropout on, the attention
+    mask and then the feed-forward mask [..., l x n] are drawn from `rng`.
     """
     p = f"stfe{level}.sfe."
-    x = ad.transpose(h_in)  # [l x n]
-    attn_in = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
-    attn = _multi_head_attention(attn_in, params, p, cfg.attention_heads)
-    attn = ad.dropout(attn, cfg.dropout_rate, rng)
-    x = ad.add(x, attn)
-    ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    ffn = ad.dropout(_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
-    x = ad.add(x, ffn)
-    x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
-    return ad.transpose(x)  # back to [n x l]
+    keep = None
+    if rng is not None and cfg.dropout_rate > 0.0:
+        *lead, n, l = h_in.data.shape
+        keep = tuple(rng.random((*lead, l, n)) >= cfg.dropout_rate for _ in range(2))
+    blocks = {name: params[p + name] for name in ad.ENCODER_BLOCKS}
+    return ad.encoder_layer(h_in, blocks, cfg.attention_heads, keep, cfg.dropout_rate)
 
 
 def tfe_forward(h_in, params, cfg: ModelConfig, level):
@@ -395,7 +373,7 @@ def predict(x, params, cfg: ModelConfig, rng=None):
     for level in range(1, cfg.levels + 1):
         h = stfe_forward(h, level, params, cfg, rng)
         _check_finite(h, f"features at level {level}")
-        adjacencies.append(generate_adjacency(h))  # finite, as h is: entries lie in [-1, 1]
+        adjacencies.append(generate_adjacency(h, level))  # finite, as h is: entries lie in [-1, 1]
 
     embeddings = []
     for k in cfg.gcn_levels:

@@ -337,6 +337,13 @@ def _rand(shape, seed):
 _MEAN_OF = _rand((3, 3), 41)
 _WEIGHT = np.array([[0.5], [1.0], [2.0]])
 
+# encoder_layer at width n=4 (2 heads), 3 tokens and 5 hidden units.
+_ENCODER_SHAPES = {name: (4, 4) if name[0] == "w" else (4,) for name in ad.ENCODER_BLOCKS}
+_ENCODER_SHAPES.update({"ffn.w1": (4, 5), "ffn.b1": (5,), "ffn.w2": (5, 4)})
+_ENCODER = {name: Tensor(_rand(shape, 50 + i))
+            for i, (name, shape) in enumerate(_ENCODER_SHAPES.items())}
+_KEEP = tuple(np.random.default_rng(60 + i).random((3, 4)) >= 0.3 for i in range(2))
+
 OP_CASES = [
     ("add", lambda p: ad.add(p, Tensor(_rand((3, 4), 10))), (3, 4)),
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
@@ -357,9 +364,10 @@ OP_CASES = [
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
     ("avgpool", lambda p: moving_average(p, 3), (3, 5)),
-    ("cosine_graph", ad.cosine_graph, (3, 4)),
-    ("cosine_graph_3d", ad.cosine_graph, (2, 3, 4)),
+    ("cosine_graph", lambda p: ad.cosine_graph(p, "level 1"), (3, 4)),
+    ("cosine_graph_3d", lambda p: ad.cosine_graph(p, "level 1"), (2, 3, 4)),
     ("class_spread", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 4)),
+    ("encoder_layer", lambda p: ad.encoder_layer(p, _ENCODER, 2, _KEEP, 0.3), (4, 3)),
     ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
     (
         "layer_norm_x",
@@ -390,8 +398,13 @@ POLICY_CASES = [
     ("mean_axis", lambda x: ad.mean_axis(x, axis=-2), [(2, 3, 4)]),
     ("softmax_rows", ad.softmax_rows, [(3, 4)]),
     ("layer_norm", ad.layer_norm, [(3, 4), (4,), (4,)]),
-    ("cosine_graph", ad.cosine_graph, [(3, 4)]),
+    ("cosine_graph", lambda x: ad.cosine_graph(x, "level 1"), [(3, 4)]),
     ("class_spread", lambda x: ad.class_spread(x, _MEAN_OF, _WEIGHT), [(3, 4)]),
+    (
+        "encoder_layer",
+        lambda h, *blocks: ad.encoder_layer(h, dict(zip(ad.ENCODER_BLOCKS, blocks)), 2),
+        [(4, 3), *_ENCODER_SHAPES.values()],
+    ),
     ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
 ]
 
@@ -427,6 +440,11 @@ def test_bmm_rejects_unequal_batch_axes():
         ad.bmm(tensor(np.ones((2, 3, 4))), tensor(np.ones((3, 4, 2))))
 
 
+def test_encoder_layer_rejects_a_width_the_heads_do_not_divide():
+    with pytest.raises(ShapeError, match=r"divisible by 3 heads, got shape \(4, 3\)"):
+        ad.encoder_layer(tensor(_rand((4, 3), 0)), _ENCODER, 3)
+
+
 def test_stack_rows_gradient():
     rows = [tensor(_rand(4, s)) for s in range(3)]
 
@@ -440,8 +458,8 @@ def test_stack_rows_gradient():
 def test_cosine_graph_zero_row_warns_and_stays_zero():
     x = tensor(np.array([[0.0, 0.0], [3.0, 4.0], [4.0, 3.0]]))
     with ad.recording():
-        with pytest.warns(UserWarning, match="zero-norm"):
-            out = ad.cosine_graph(x)
+        with pytest.warns(UserWarning, match=r"^level 1: 1 zero-norm row\(s\)"):
+            out = ad.cosine_graph(x, "level 1")
         ad.backward(ad.sum_all(ad.mul(out, Tensor(_rand((3, 3), 5)))))
     np.testing.assert_array_equal(out.data[0], [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(out.data[:, 0], [1.0, 0.0, 0.0])
@@ -469,14 +487,14 @@ def _graph_rows(case):
     return x
 
 
-@pytest.mark.filterwarnings("ignore:cosine_graph")
+@pytest.mark.filterwarnings("ignore:level 1:")
 @pytest.mark.parametrize("case", ["random", "zero_row", "parallel_rows"])
 def test_cosine_graph_matches_numpy_reference_bit_for_bit(case):
     x = _graph_rows(case)
     stack = np.stack([x, _rand((5, 4), 32), x[::-1]])
-    assert ad.cosine_graph(Tensor(x)).data.tobytes() == _cosine_reference(x).tobytes()
+    assert ad.cosine_graph(Tensor(x), "level 1").data.tobytes() == _cosine_reference(x).tobytes()
     expected = np.stack([_cosine_reference(m) for m in stack])
-    assert ad.cosine_graph(Tensor(stack)).data.tobytes() == expected.tobytes()
+    assert ad.cosine_graph(Tensor(stack), "level 1").data.tobytes() == expected.tobytes()
 
 
 def test_cosine_graph_clipped_parallel_edge_passes_no_gradient():
@@ -484,7 +502,7 @@ def test_cosine_graph_clipped_parallel_edge_passes_no_gradient():
     only_edge = np.zeros((5, 5))
     only_edge[1, 3] = only_edge[3, 1] = 1.0
     with ad.recording():
-        out = ad.cosine_graph(x)
+        out = ad.cosine_graph(x, "level 1")
         ad.backward(ad.sum_all(ad.mul(out, Tensor(only_edge))))
     assert out.data[1, 3] == 1.0
     np.testing.assert_array_equal(x.grad, np.zeros((5, 4)))
@@ -497,7 +515,7 @@ def test_cosine_graph_clipped_antiparallel_edge_passes_no_gradient():
     only_edge = np.zeros((5, 5))
     only_edge[1, 3] = only_edge[3, 1] = 1.0
     with ad.recording():
-        out = ad.cosine_graph(x)
+        out = ad.cosine_graph(x, "level 1")
         ad.backward(ad.sum_all(ad.mul(out, Tensor(only_edge))))
     assert out.data[1, 3] == -1.0
     np.testing.assert_array_equal(x.grad, np.zeros((5, 4)))

@@ -132,6 +132,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["synth", *SYNTH_ARGS], ["train", "--manifest", "m.json"]],
+                         ids=["synth", "train"])
+def test_set_of_a_run_key_is_refused_by_name(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out), "--set", "run.seed=5"]) == 2
+    assert "unknown config key 'run.seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_config_field_settable_and_typed():
     samples = {
         int: ("3", 3), float: ("0.5", 0.5), bool: ("false", False),

@@ -251,6 +251,97 @@ def test_sfe_zeroed_sublayers_reduce_to_layer_norm(cfg, params):
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
 
+def _composed_attention(x, params, prefix, heads):
+    """The attention sublayer as composed taped ops: the reference for `ad.encoder_layer`."""
+    *lead, tokens, d_model = x.data.shape
+    d = d_model // heads
+
+    def split(name):  # [..., heads, d, tokens]
+        projected = ad.transpose(model_module._dense(x, params[prefix + name]))
+        return ad.reshape(projected, (*lead, heads, d, tokens))
+
+    q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
+    scores = ad.mul(ad.bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
+    attn = ad.softmax_rows(scores)
+    merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
+    return model_module._dense(ad.transpose(merged_t), params[prefix + "wo"])
+
+
+def _composed_sfe(h_in, params, cfg, level, rng=None):
+    """The spatial pathway as composed taped ops, one record per op."""
+    p = f"stfe{level}.sfe."
+    x = ad.transpose(h_in)
+    attn_in = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
+    attn = ad.dropout(_composed_attention(attn_in, params, p, cfg.attention_heads),
+                      cfg.dropout_rate, rng)
+    x = ad.add(x, attn)
+    ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
+    ffn = ad.dropout(model_module._mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
+    x = ad.add(x, ffn)
+    x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
+    return ad.transpose(x)
+
+
+def _sfe_blocks(cfg, seed):
+    """Random values for every level-1 SFE block, gains and shifts included."""
+    rng = derive_rng(seed, "sfe-blocks")
+    return {name: Tensor(rng.normal(size=shape) / np.sqrt(shape[0]) + name.endswith(".gain"),
+                         requires_grad=True)
+            for name, shape in param_shapes(cfg).items() if name.startswith("stfe1.sfe.")}
+
+
+def _sfe_value_and_grads(forward, h, blocks, cfg, upstream, rng):
+    h = Tensor(h, requires_grad=True)
+    blocks = {name: Tensor(t.data, requires_grad=True) for name, t in blocks.items()}
+    with ad.recording():
+        out = forward(h, blocks, cfg, 1, rng)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(upstream))))
+    return out.data, {"h": h.grad, **{name: t.grad for name, t in blocks.items()}}
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "batch1", "batch3"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["eval", "dropout"])
+def test_sfe_kernel_matches_the_composed_ops(heads, lead, dropout):
+    cfg = tiny_config(attention_heads=heads, dropout_rate=0.3)
+    rng = derive_rng(31, "sfe-kernel")
+    h = rng.normal(size=(*lead, cfg.n_rois, cfg.embed_len))
+    upstream = rng.normal(size=h.shape)
+    blocks = _sfe_blocks(cfg, 32)
+    runs = [
+        _sfe_value_and_grads(forward, h, blocks, cfg, upstream,
+                             derive_rng(33, "dropout") if dropout else None)
+        for forward in (sfe_forward, _composed_sfe)
+    ]
+    (out, grads), (ref_out, ref_grads) = runs
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert out.shape == ref_out.shape
+    assert rel(out, ref_out) <= 1e-12
+    assert len(grads) == 15
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape
+        assert rel(grads[name], ref) <= 1e-10, name
+
+
+def test_sfe_is_one_tape_record(cfg, params):
+    h = Tensor(derive_rng(11, "h").normal(size=(3, 6, 8)), requires_grad=True)
+    with ad.recording() as tape:
+        sfe_forward(h, params, cfg, level=1, rng=derive_rng(12, "dropout"))
+    assert len(tape.records) == 1
+
+
+def test_sfe_dropout_draws_two_token_masks(cfg, params):
+    h = Tensor(derive_rng(13, "h").normal(size=(3, 6, 8)))
+    used, expected = derive_rng(14, "dropout"), derive_rng(14, "dropout")
+    sfe_forward(h, params, cfg, level=1, rng=used)
+    for _ in range(2):
+        expected.random((3, 8, 6))
+    assert used.bit_generator.state == expected.bit_generator.state
+
+
 def test_tfe_constant_rows_have_no_seasonal_part(cfg):
     h = Tensor(np.tile(np.arange(1.0, 7.0)[:, None], (1, 8)))
     trend = moving_average(h, cfg.kernel_size)
@@ -334,6 +425,7 @@ def test_pearson_zero_variance_row_warns():
     x = Tensor(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]))
     with pytest.warns(ZeroNormRowsWarning) as caught:
         f = pearson_connectome(x).data
+    assert [str(w.message) for w in caught] == ["pearson: 1 zero-norm row(s) left as zeros"]
     assert [w.message.rows for w in caught] == [1]
     assert f[0, 0] == 1.0
     assert f[0, 1] == 0.0 and f[1, 0] == 0.0
@@ -348,12 +440,12 @@ def _pearson_rows(case):
     return x
 
 
-@pytest.mark.filterwarnings("ignore:cosine_graph")
+@pytest.mark.filterwarnings("ignore:pearson:")
 @pytest.mark.parametrize("case", ["random", "constant_row", "correlated_rows"])
 def test_pearson_is_the_cosine_graph_of_the_centred_rows_bit_for_bit(case):
     x = _pearson_rows(case)
     for rows in (x, np.stack([x, x[::-1], 3.0 * x])):
-        expected = ad.cosine_graph(rows - rows.mean(axis=-1, keepdims=True)).data
+        expected = ad.cosine_graph(rows - rows.mean(axis=-1, keepdims=True), "pearson").data
         assert pearson_connectome(Tensor(rows)).data.tobytes() == expected.tobytes()
 
 
@@ -363,7 +455,7 @@ def test_pearson_records_nothing_on_the_tape():
     assert tape.records == []
 
 
-@pytest.mark.filterwarnings("ignore:cosine_graph")  # the plain reference's exact-mean rows
+@pytest.mark.filterwarnings("ignore:pearson:")  # the plain reference's exact-mean rows
 @pytest.mark.parametrize("value", [0.1, 0.3, 0.001])
 @pytest.mark.parametrize("length", [3, 176, 200])
 def test_pearson_constant_rows_are_exactly_uncorrelated(value, length):
@@ -379,32 +471,32 @@ def test_pearson_constant_rows_are_exactly_uncorrelated(value, length):
         np.testing.assert_array_equal(np.delete(f[i], i), 0.0)
         np.testing.assert_array_equal(np.delete(f[:, i], i), 0.0)
     keep = np.ix_([0, 2, 3, 5], [0, 2, 3, 5])
-    plain = ad.cosine_graph(x - x.mean(axis=-1, keepdims=True)).data
+    plain = ad.cosine_graph(x - x.mean(axis=-1, keepdims=True), "pearson").data
     assert f[keep].tobytes() == plain[keep].tobytes()
 
 
 def test_adjacency_identical_rows():
     h = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
-    a = generate_adjacency(h).data
+    a = generate_adjacency(h, 1).data
     assert a[0, 1] == pytest.approx(1.0)
 
 
 def test_adjacency_orthogonal_rows():
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    a = generate_adjacency(h).data
+    a = generate_adjacency(h, 1).data
     assert a[0, 1] == pytest.approx(0.0)
 
 
 def test_adjacency_cosine_hand_case():
     h = Tensor(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    a = generate_adjacency(h).data
+    a = generate_adjacency(h, 1).data
     assert a[0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_adjacency_zero_row_handling():
     h = Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.warns(UserWarning, match="zero-norm"):
-        a = generate_adjacency(h).data
+    with pytest.warns(UserWarning, match=r"^level 2: 1 zero-norm row\(s\)"):
+        a = generate_adjacency(h, 2).data
     assert a[0, 0] == 1.0  # diagonal pinned even for a degenerate row
     assert a[0, 1] == 0.0
 
@@ -412,13 +504,13 @@ def test_adjacency_zero_row_handling():
 def test_adjacency_is_one_tape_record():
     h = Tensor(derive_rng(10, "h").normal(size=(3, 7, 5)), requires_grad=True)
     with ad.recording() as tape:
-        generate_adjacency(h)
+        generate_adjacency(h, 1)
     assert len(tape.records) == 1
 
 
 def test_adjacency_contract_properties():
     rng = derive_rng(10, "h")
-    a = generate_adjacency(Tensor(rng.normal(size=(7, 5)))).data
+    a = generate_adjacency(Tensor(rng.normal(size=(7, 5))), 1).data
     assert np.abs(a - a.T).max() < 1e-9
     np.testing.assert_array_equal(np.diag(a), 1.0)
     assert a.min() >= -1.0 and a.max() <= 1.0
@@ -444,7 +536,7 @@ def test_gcn_matches_dense_reference_on_a_batch(cfg, params, level):
     n = cfg.n_rois
     pearson = pearson_connectome(Tensor(rng.normal(size=(3, n, cfg.series_len))))
     features = Tensor(rng.normal(size=(3, n, cfg.embed_len)))
-    graph = pearson if level == 0 else generate_adjacency(features)
+    graph = pearson if level == 0 else generate_adjacency(features, 1)
     assert np.abs(graph.data[:, ~np.eye(n, dtype=bool)]).min() > 0  # no zero edge
     a_hat = graph.data + np.eye(n)
     w0, w1 = params[f"gcn{level}.w0"].data, params[f"gcn{level}.w1"].data
@@ -462,7 +554,7 @@ def test_gcn_weight_gradients():
     cfg = tiny_config(n_rois=5, attention_heads=1)
     params = init_params(cfg, derive_rng(12, "init"))
     rng = derive_rng(13, "f")
-    adj = generate_adjacency(Tensor(rng.normal(size=(5, 4))))
+    adj = generate_adjacency(Tensor(rng.normal(size=(5, 4))), 1)
     f = Tensor(rng.normal(size=(5, 5)))
     for name in ("gcn0.w0", "gcn0.w1"):
         def g(p, _n=name):
