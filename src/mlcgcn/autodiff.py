@@ -99,6 +99,12 @@ def _op(data, inputs, pull):
     return out
 
 
+def _records(inputs):
+    """Whether `_op` will record an op on these inputs: a kernel whose forward
+    makes no record drops each intermediate once its forward use is over."""
+    return _TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def _unbroadcast(g, shape):
     """Sum a broadcast gradient back down to `shape`."""
     if g.shape == shape:
@@ -126,18 +132,6 @@ def add(a, b):
             acc(b, _unbroadcast(g, b.data.shape))
 
     return _op(a.data + b.data, (a, b), pull)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def pull(g, acc):
-        if a.requires_grad:
-            acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _op(a.data - b.data, (a, b), pull)
 
 
 def mul(a, b):
@@ -315,6 +309,43 @@ def softmax_rows(x):
     return _op(y, (x,), pull)
 
 
+def _dense(a, w):
+    """a [..., p] @ w [p x r] as one 2-D product."""
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[1])
+
+
+def _wgrad(a, da):
+    """Adjoint of w in `_dense(a, w)`, given the output adjoint da."""
+    return a.reshape(-1, a.shape[-1]).T @ da.reshape(-1, da.shape[-1])
+
+
+def _mlp2_forward(x, w1, b1, w2, b2):
+    """The hidden activations relu(x·w1 + b1) and the output hidden·w2 + b2."""
+    hid = np.maximum(_dense(x, w1) + b1, 0.0)
+    return hid, _dense(hid, w2) + b2
+
+
+def _mlp2_pull(g, x, hid, w1, w2):
+    """Adjoints of x, w1, b1, w2 and b2 for `_mlp2_forward`."""
+    dpre = _dense(g, w2.T) * (hid > 0.0)
+    return (_dense(dpre, w1.T), _wgrad(x, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
+            _wgrad(hid, g), g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+
+def mlp2(x, w1, b1, w2, b2):
+    """Two-layer perceptron relu(x·w1 + b1)·w2 + b2 over the last axis of
+    x [..., d]. One record, which keeps the hidden activations."""
+    tensors = tuple(_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2 = (t.data for t in tensors)
+    hid, out = _mlp2_forward(x, w1, b1, w2, b2)
+
+    def pull(g, acc):
+        for t, grad in zip(tensors, _mlp2_pull(g, x, hid, w1, w2)):
+            acc(t, grad)
+
+    return _op(out, tensors, pull)
+
+
 def _norm_rows(x):
     """The rows of x normalised to mean 0 / variance 1, and their inverse stds."""
     xc = x - x.mean(axis=-1, keepdims=True)
@@ -329,24 +360,6 @@ def _norm_rows_pull(g, xhat, inv, gain):
     dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
                 - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
     return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
-
-
-def layer_norm(x, gain, shift):
-    """Normalize the last axis to mean 0 / variance 1, then apply gain+shift."""
-    x, gain, shift = _as_tensor(x), _as_tensor(gain), _as_tensor(shift)
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or shift.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm gain/shift must have shape ({d},), got "
-            f"{gain.data.shape} and {shift.data.shape}"
-        )
-    xhat, inv = _norm_rows(x.data)
-
-    def pull(g, acc):
-        for t, grad in zip((x, gain, shift), _norm_rows_pull(g, xhat, inv, gain.data)):
-            acc(t, grad)
-
-    return _op(xhat * gain.data + shift.data, (x, gain, shift), pull)
 
 
 def dropout(x, rate, rng=None):
@@ -399,12 +412,10 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     d = n // heads
     m1, m2 = keep if keep is not None else (None, None)
     scale = 1.0 / (1.0 - rate)
+    taped = _records((h, *tensors))
 
     def drop(a, mask):
         return a if mask is None else a * mask * scale
-
-    def dense(a, w):  # a [..., p] @ w [p x r] as one 2-D product
-        return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[1])
 
     def split(a):  # [..., l x n] -> a [..., heads x l x d] view
         return np.swapaxes(a.reshape(*lead, l, heads, d), -3, -2)
@@ -415,39 +426,101 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
     xhat1, inv1 = _norm_rows(x)
     a1 = xhat1 * g1 + s1
-    q, k, v = dense(a1, wq), dense(a1, wk), dense(a1, wv)
+    if not taped:
+        del xhat1, inv1
+    q, k, v = _dense(a1, wq), _dense(a1, wk), _dense(a1, wv)
+    if not taped:
+        del a1
     att = _softmax(np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(d)))
     merged = merge(np.matmul(att, split(v)))
-    x = x + drop(dense(merged, wo), m1)
+    if not taped:
+        del q, k, v, att
+    x = x + drop(_dense(merged, wo), m1)
+    if not taped:
+        del merged
     xhat2, inv2 = _norm_rows(x)
     a2 = xhat2 * g2 + s2
-    hid = np.maximum(dense(a2, w1) + b1, 0.0)
-    x = x + drop(dense(hid, w2) + b2, m2)
+    if not taped:
+        del xhat2, inv2
+    hid, f = _mlp2_forward(a2, w1, b1, w2, b2)
+    if not taped:
+        del a2, hid
+    x = x + drop(f, m2)
+    del f
     xhat3, inv3 = _norm_rows(x)
+    del x
     out = np.ascontiguousarray(np.swapaxes(xhat3 * g3 + s3, -1, -2))
 
     def pull(g, acc):
-        def wgrad(a, da):  # adjoint of w in dense(a, w)
-            return a.reshape(-1, a.shape[-1]).T @ da.reshape(-1, da.shape[-1])
-
         gx, gg3, gs3 = _norm_rows_pull(np.ascontiguousarray(np.swapaxes(g, -1, -2)),
                                        xhat3, inv3, g3)
-        df = drop(gx, m2)
-        dpre = dense(df, w2.T) * (hid > 0.0)
-        da2, gg2, gs2 = _norm_rows_pull(dense(dpre, w1.T), xhat2, inv2, g2)
+        da2, gw1, gb1, gw2, gb2 = _mlp2_pull(drop(gx, m2), a2, hid, w1, w2)
+        da2, gg2, gs2 = _norm_rows_pull(da2, xhat2, inv2, g2)
         gx = gx + da2
         datt = drop(gx, m1)
-        do = split(dense(datt, wo.T))
+        do = split(_dense(datt, wo.T))
         ds = _softmax_pull(np.matmul(do, np.swapaxes(split(v), -1, -2)), att) * (1.0 / np.sqrt(d))
         dq = merge(np.matmul(ds, split(k)))
         dk = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q)))
         dv = merge(np.matmul(np.swapaxes(att, -1, -2), do))
-        da1 = dense(dq, wq.T) + dense(dk, wk.T) + dense(dv, wv.T)
+        da1 = _dense(dq, wq.T) + _dense(dk, wk.T) + _dense(dv, wv.T)
         dx, gg1, gs1 = _norm_rows_pull(da1, xhat1, inv1, g1)
         grads = (np.swapaxes(gx + dx, -1, -2), gg1, gs1,
-                 wgrad(a1, dq), wgrad(a1, dk), wgrad(a1, dv), wgrad(merged, datt), gg2, gs2,
-                 wgrad(a2, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
-                 wgrad(hid, df), df.reshape(-1, n).sum(axis=0), gg3, gs3)
+                 _wgrad(a1, dq), _wgrad(a1, dk), _wgrad(a1, dv), _wgrad(merged, datt), gg2, gs2,
+                 gw1, gb1, gw2, gb2, gg3, gs3)
+        for t, grad in zip((h, *tensors), grads):
+            acc(t, grad)
+
+    return _op(out, (h, *tensors), pull)
+
+
+# The blocks of `tfe_layer`, in the order its record lists them after h.
+TFE_BLOCKS = ("wt", "ws", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2", "norm.gain", "norm.shift")
+
+
+def tfe_layer(h, blocks, counts, window):
+    """The trend/seasonal pathway over the last axis of h [..., n x l].
+
+    trend = (h·counts)·(1/window), with `counts` the constant [l x l] window
+    counts of a moving average; seasonal = h - trend; then
+    relu(trend·wt) + relu(seasonal·ws), the ReLU MLP `mlp.*` and a layer norm
+    with `norm.gain` and `norm.shift`. `blocks` maps each TFE_BLOCKS name to
+    its tensor. One record, which keeps the trend, the two ReLU masks as
+    bool, the MLP input and hidden activations, and the norm's normalised
+    rows and inverse stds; its pull recomputes seasonal as h - trend.
+    """
+    h = _as_tensor(h)
+    tensors = tuple(_as_tensor(blocks[name]) for name in TFE_BLOCKS)
+    wt, ws, w1, b1, w2, b2, gain, shift = (t.data for t in tensors)
+    l = h.data.shape[-1]
+    if counts.shape != (l, l):
+        raise ShapeError(f"tfe_layer expects [{l} x {l}] window counts for h of shape "
+                         f"{h.data.shape}, got {counts.shape}")
+    taped = _records((h, *tensors))
+
+    trend = _dense(h.data, counts) * (1.0 / window)
+    pre_t, pre_s = _dense(trend, wt), _dense(h.data - trend, ws)
+    if not taped:
+        del trend
+    mixed = np.maximum(pre_t, 0.0) + np.maximum(pre_s, 0.0)
+    mask_t, mask_s = (pre_t > 0.0, pre_s > 0.0) if taped else (None, None)
+    del pre_t, pre_s
+    hid, y = _mlp2_forward(mixed, w1, b1, w2, b2)
+    if not taped:
+        del mixed, hid
+    xhat, inv = _norm_rows(y)
+    del y
+    out = xhat * gain + shift
+
+    def pull(g, acc):
+        dy, ggain, gshift = _norm_rows_pull(g, xhat, inv, gain)
+        dmixed, gw1, gb1, gw2, gb2 = _mlp2_pull(dy, mixed, hid, w1, w2)
+        dt, ds = dmixed * mask_t, dmixed * mask_s
+        dseasonal = _dense(ds, ws.T)
+        dtrend = _dense(dt, wt.T) - dseasonal
+        dh = dseasonal + _dense(dtrend * (1.0 / window), counts.T)
+        grads = (dh, _wgrad(trend, dt), _wgrad(h.data - trend, ds),
+                 gw1, gb1, gw2, gb2, ggain, gshift)
         for t, grad in zip((h, *tensors), grads):
             acc(t, grad)
 
@@ -479,10 +552,12 @@ def cosine_graph(x, site):
 
     def pull(g, acc):
         # The clipped a lies inside (-1, 1) iff the clip passed it; the unit
-        # diagonal lies outside, so it passes nothing.
-        s = g * ((a > -1.0) & (a < 1.0)) * 0.5
+        # diagonal lies outside, so it passes nothing. With s the symmetrised
+        # (g·mask)/2, the adjoint of y is s·y + (yᵀ·s)ᵀ = 2·s·y, as s is
+        # exactly symmetric: one product, with the 2 folded into s.
+        s = g * ((a > -1.0) & (a < 1.0))
         s = s + np.swapaxes(s, -1, -2)
-        gy = np.matmul(s, y) + np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), s), -1, -2)
+        gy = np.matmul(s, y)
         d = (gy - y * (gy * y).sum(axis=-1, keepdims=True)) / safe
         d[zero] = 0.0
         acc(x, d)

@@ -254,24 +254,24 @@ def embed(x, params, cfg: ModelConfig) -> Tensor:
     return z
 
 
-def moving_average(x, window) -> Tensor:
-    """Replicate-padded moving average of size `window` along the last axis.
-
-    A constant [l x l] product: count[j, i] is how often input position j
-    falls in output i's edge-padded window. The integer counts are applied
-    before the 1/window multiply, so a constant row maps to itself exactly.
+@functools.lru_cache(maxsize=8)
+def _window_counts(l, window):
+    """Constant [l x l] counts of the replicate-padded moving average of size
+    `window`: count[j, i] is how often position j falls in output i's
+    edge-padded window, so each column sums to `window`. The trend is
+    (x·counts)·(1/window); the integer counts go first, so a constant row
+    maps to itself. Cached read-only, so every forward shares one array.
     """
-    l = x.data.shape[-1]
     src = np.clip(np.arange(l)[:, None] + np.arange(window) - (window - 1) // 2, 0, l - 1)
     counts = np.zeros((l, l))
     np.add.at(counts, (src, np.arange(l)[:, None]), 1.0)
-    return ad.mul(_dense(x, Tensor(counts)), Tensor(1.0 / window))
+    counts.flags.writeable = False
+    return counts
 
 
 def _mlp2(x, params, prefix):
-    """Two-layer perceptron with a ReLU hidden layer."""
-    hidden = ad.relu(ad.add(_dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
-    return ad.add(_dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
+    """Two-layer perceptron with a ReLU hidden layer: one `ad.mlp2` record."""
+    return ad.mlp2(x, *(params[prefix + name] for name in ("w1", "b1", "w2", "b2")))
 
 
 def sfe_forward(h_in, params, cfg: ModelConfig, level, rng=None):
@@ -295,18 +295,13 @@ def tfe_forward(h_in, params, cfg: ModelConfig, level):
     """Temporal pathway: trend/seasonal decomposition, linear maps, MLP, norm.
 
     The moving average (replicate-padded, window = kernel_size) gives the
-    trend; the residual is the seasonal part; trend + seasonal reconstructs
-    the input exactly.
+    trend and the residual is the seasonal part, as one `ad.tfe_layer`
+    record.
     """
     p = f"stfe{level}.tfe."
-    trend = moving_average(h_in, cfg.kernel_size)
-    seasonal = ad.sub(h_in, trend)
-    mixed = ad.add(
-        ad.relu(_dense(trend, params[p + "wt"])),
-        ad.relu(_dense(seasonal, params[p + "ws"])),
-    )
-    out = _mlp2(mixed, params, p + "mlp.")
-    return ad.layer_norm(out, params[p + "norm.gain"], params[p + "norm.shift"])
+    blocks = {name: params[p + name] for name in ad.TFE_BLOCKS}
+    counts = _window_counts(cfg.embed_len, cfg.kernel_size)
+    return ad.tfe_layer(h_in, blocks, counts, cfg.kernel_size)
 
 
 def stfe_forward(h_in, level, params, cfg: ModelConfig, rng=None):

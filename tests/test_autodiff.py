@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mlcgcn import autodiff as ad
 from mlcgcn.autodiff import Tensor
 from mlcgcn.errors import ConfigError, ContractError, OracleError, ShapeError
-from mlcgcn.model import moving_average
+from mlcgcn.model import _window_counts
 
 
 def tensor(data, grad=True):
@@ -48,26 +48,28 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# moving average: the replicate-padded average pool behind the TFE trend, a
-# constant window-count product built from engine ops
+# moving average: the replicate-padded average pool behind the TFE trend, the
+# constant window counts that `tfe_layer` multiplies by and then scales
+
+
+def _trend(x, window):
+    """The trend `tfe_layer` takes of x [..., l]: (x·counts)·(1/window)."""
+    return (x @ _window_counts(x.shape[-1], window)) * (1.0 / window)
 
 
 def test_avgpool_window_one_is_identity():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 6))
-    out = moving_average(Tensor(x), 1)
-    np.testing.assert_array_equal(out.data, x)
+    x = np.random.default_rng(3).normal(size=(2, 6))
+    np.testing.assert_array_equal(_window_counts(6, 1), np.eye(6))
+    np.testing.assert_array_equal(_trend(x, 1), x)
 
 
 def test_avgpool_replicate_padding_hand_case():
-    out = moving_average(Tensor([0.0, 3.0, 6.0]), 3)
-    np.testing.assert_allclose(out.data, [1.0, 3.0, 5.0])
+    np.testing.assert_allclose(_trend(np.array([0.0, 3.0, 6.0]), 3), [1.0, 3.0, 5.0])
 
 
 @given(st.integers(min_value=1, max_value=9), st.floats(-5, 5))
 def test_avgpool_constant_series_fixed_point(window, value):
-    out = moving_average(Tensor(np.full(7, value)), window)
-    np.testing.assert_allclose(out.data, np.full(7, value))
+    np.testing.assert_allclose(_trend(np.full(7, value), window), np.full(7, value))
 
 
 @pytest.mark.parametrize("window", [2, 3, 4, 5, 9])
@@ -76,15 +78,24 @@ def test_avgpool_matches_edge_padded_sliding_mean(window):
     left = (window - 1) // 2
     padded = np.pad(x, [(0, 0), (0, 0), (left, window - 1 - left)], mode="edge")
     reference = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1).mean(axis=-1)
-    np.testing.assert_allclose(moving_average(Tensor(x), window).data, reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_trend(x, window), reference, rtol=0, atol=1e-12)
+
+
+def test_avgpool_counts_are_one_cached_read_only_array():
+    counts = _window_counts(7, 5)
+    assert _window_counts(7, 5) is counts
+    assert not counts.flags.writeable
+    np.testing.assert_array_equal(counts.sum(axis=0), np.full(7, 5.0))
 
 
 def test_avgpool_gradient_even_and_odd_windows():
     rng = np.random.default_rng(4)
     for window in (2, 3, 4):
         x = tensor(rng.normal(size=(2, 7)))
+        blocks = _tfe_blocks(7, 70)
         err = ad.finite_diff_check(
-            lambda p: ad.sum_all(ad.mul(o := moving_average(p, window), o)), x, eps=1e-5
+            lambda p: ad.sum_all(ad.mul(o := ad.tfe_layer(p, blocks, _window_counts(7, window),
+                                                          window), o)), x, eps=1e-5
         )
         assert err < 1e-4, f"window={window}"
 
@@ -116,26 +127,34 @@ def test_softmax_rows_sum_to_one(rows):
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def _normed_b2(b2, gain, shift):
+    """The TFE kernel with mlp.w2 zero: every row its layer norm sees is mlp.b2."""
+    blocks = {**_tfe_blocks(3, 80), "mlp.w2": Tensor(np.zeros((4, 3))), "mlp.b2": b2,
+              "norm.gain": gain, "norm.shift": shift}
+    return ad.tfe_layer(Tensor(_rand((2, 3), 81)), blocks, _window_counts(3, 3), 3)
+
+
 def test_layer_norm_standardizes():
-    out = ad.layer_norm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
-    assert abs(out.data.mean()) < 1e-12
-    assert abs(out.data.var() - 1.0) < 1e-4  # epsilon shrinks the variance slightly
+    out = _normed_b2(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-4)  # epsilon shrinks it
 
 
 def test_layer_norm_constant_row_is_zeroed():
-    out = ad.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    out = _normed_b2(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_layer_norm_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    gain = Tensor(rng.normal(size=5))
-    shift = Tensor(rng.normal(size=5))
-    x = tensor(rng.normal(size=(3, 5)))
-    err = ad.finite_diff_check(
-        lambda p: ad.sum_all(ad.mul(o := ad.layer_norm(p, gain, shift), o)), x, eps=1e-5
-    )
-    assert err < 1e-4
+    b2, gain, shift = (tensor(rng.normal(size=3)) for _ in range(3))
+
+    def f(_p):  # the oracle perturbs the block it checks in place
+        out = _normed_b2(b2, gain, shift)
+        return ad.sum_all(ad.mul(out, out))
+
+    for p in (b2, gain, shift):
+        assert ad.finite_diff_check(f, p, eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +363,26 @@ _ENCODER = {name: Tensor(_rand(shape, 50 + i))
             for i, (name, shape) in enumerate(_ENCODER_SHAPES.items())}
 _KEEP = tuple(np.random.default_rng(60 + i).random((3, 4)) >= 0.3 for i in range(2))
 
+
+def _tfe_shapes(l):
+    """tfe_layer block shapes at width l with 4 hidden units."""
+    shapes = {name: (l,) for name in ad.TFE_BLOCKS}
+    shapes.update({"wt": (l, l), "ws": (l, l), "mlp.w1": (l, 4), "mlp.b1": (4,), "mlp.w2": (4, l)})
+    return shapes
+
+
+def _tfe_blocks(l, seed):
+    return {name: Tensor(_rand(shape, seed + i))
+            for i, (name, shape) in enumerate(_tfe_shapes(l).items())}
+
+
+_TFE = _tfe_blocks(5, 90)
+_MLP2_SHAPES = [(4, 5), (5,), (5, 4), (4,)]
+_MLP2 = [Tensor(_rand(shape, 95 + i)) for i, shape in enumerate(_MLP2_SHAPES)]
+
 OP_CASES = [
     ("add", lambda p: ad.add(p, Tensor(_rand((3, 4), 10))), (3, 4)),
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
-    ("sub", lambda p: ad.sub(p, Tensor(_rand((3, 4), 12))), (3, 4)),
     ("mul", lambda p: ad.mul(p, Tensor(_rand((3, 4), 13))), (3, 4)),
     ("scale", lambda p: ad.mul(p, Tensor(-1.7)), (3, 4)),
     ("relu", lambda p: ad.relu(p), (3, 4)),
@@ -363,17 +398,13 @@ OP_CASES = [
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
     ("mean_axis", lambda p: ad.mean_axis(p, axis=1), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
-    ("avgpool", lambda p: moving_average(p, 3), (3, 5)),
     ("cosine_graph", lambda p: ad.cosine_graph(p, "level 1"), (3, 4)),
     ("cosine_graph_3d", lambda p: ad.cosine_graph(p, "level 1"), (2, 3, 4)),
     ("class_spread", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 4)),
     ("encoder_layer", lambda p: ad.encoder_layer(p, _ENCODER, 2, _KEEP, 0.3), (4, 3)),
+    ("tfe_layer", lambda p: ad.tfe_layer(p, _TFE, _window_counts(5, 3), 3), (2, 3, 5)),
+    ("mlp2", lambda p: ad.mlp2(p, *_MLP2), (2, 3, 4)),
     ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
-    (
-        "layer_norm_x",
-        lambda p: ad.layer_norm(p, Tensor(_rand(4, 21)), Tensor(_rand(4, 22))),
-        (3, 4),
-    ),
     # rebuilding the rng per call keeps the dropout mask fixed across the
     # repeated evaluations the finite-difference oracle performs
     ("dropout", lambda p: ad.dropout(p, 0.3, np.random.default_rng(7)), (3, 4)),
@@ -383,7 +414,6 @@ OP_CASES = [
 # Each engine op called directly on its tensor inputs, with their shapes.
 POLICY_CASES = [
     ("add", ad.add, [(3, 4), (4,)]),
-    ("sub", ad.sub, [(3, 4), (3, 4)]),
     ("mul", ad.mul, [(3, 4), (3, 1)]),
     ("relu", ad.relu, [(3, 4)]),
     ("log", ad.log, [(3, 4)]),
@@ -397,7 +427,6 @@ POLICY_CASES = [
     ("sum_all", ad.sum_all, [(3, 4)]),
     ("mean_axis", lambda x: ad.mean_axis(x, axis=-2), [(2, 3, 4)]),
     ("softmax_rows", ad.softmax_rows, [(3, 4)]),
-    ("layer_norm", ad.layer_norm, [(3, 4), (4,), (4,)]),
     ("cosine_graph", lambda x: ad.cosine_graph(x, "level 1"), [(3, 4)]),
     ("class_spread", lambda x: ad.class_spread(x, _MEAN_OF, _WEIGHT), [(3, 4)]),
     (
@@ -405,6 +434,12 @@ POLICY_CASES = [
         lambda h, *blocks: ad.encoder_layer(h, dict(zip(ad.ENCODER_BLOCKS, blocks)), 2),
         [(4, 3), *_ENCODER_SHAPES.values()],
     ),
+    (
+        "tfe_layer",
+        lambda h, *blocks: ad.tfe_layer(h, dict(zip(ad.TFE_BLOCKS, blocks)), _window_counts(5, 3), 3),
+        [(2, 5), *_tfe_shapes(5).values()],
+    ),
+    ("mlp2", ad.mlp2, [(3, 4), *_MLP2_SHAPES]),
     ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
 ]
 
@@ -443,6 +478,11 @@ def test_bmm_rejects_unequal_batch_axes():
 def test_encoder_layer_rejects_a_width_the_heads_do_not_divide():
     with pytest.raises(ShapeError, match=r"divisible by 3 heads, got shape \(4, 3\)"):
         ad.encoder_layer(tensor(_rand((4, 3), 0)), _ENCODER, 3)
+
+
+def test_tfe_layer_rejects_counts_of_another_width():
+    with pytest.raises(ShapeError, match=r"\[5 x 5\] window counts .* got \(4, 4\)"):
+        ad.tfe_layer(tensor(_rand((2, 5), 0)), _TFE, _window_counts(4, 3), 3)
 
 
 def test_stack_rows_gradient():

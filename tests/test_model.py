@@ -2,6 +2,7 @@
 permutation equivariance, checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from mlcgcn.model import (
     gcn_forward,
     generate_adjacency,
     init_params,
-    moving_average,
     param_shapes,
     pearson_connectome,
     positional_encoding,
@@ -244,11 +244,34 @@ def test_sfe_zeroed_sublayers_reduce_to_layer_norm(cfg, params):
         p[key] = Tensor(np.zeros_like(params[key].data), requires_grad=True)
     out = sfe_forward(h, p, cfg, level=1)
     expected = ad.transpose(
-        ad.layer_norm(
-            ad.transpose(h), p["stfe1.sfe.ln_out.gain"], p["stfe1.sfe.ln_out.shift"]
-        )
+        _layer_norm(ad.transpose(h), p["stfe1.sfe.ln_out.gain"], p["stfe1.sfe.ln_out.shift"])
     )
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
+
+
+def _layer_norm(x, gain, shift):
+    """Layer norm over the last axis as one taped op with a hand-derived pull:
+    the reference for the norms inside the kernels."""
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LAYERNORM_EPS)
+    xhat = xc * inv
+
+    def pull(g, acc):
+        d = xhat.shape[-1]
+        gx = g * gain.data
+        acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        acc(shift, g.reshape(-1, d).sum(axis=0))
+
+    return ad._op(xhat * gain.data + shift.data, (x, gain, shift), pull)
+
+
+def _composed_mlp2(x, params, prefix):
+    """The ReLU two-layer perceptron as composed taped ops: the reference for `ad.mlp2`."""
+    dense = model_module._dense
+    hidden = ad.relu(ad.add(dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
+    return ad.add(dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
 def _composed_attention(x, params, prefix, heads):
@@ -271,32 +294,51 @@ def _composed_sfe(h_in, params, cfg, level, rng=None):
     """The spatial pathway as composed taped ops, one record per op."""
     p = f"stfe{level}.sfe."
     x = ad.transpose(h_in)
-    attn_in = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
+    attn_in = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
     attn = ad.dropout(_composed_attention(attn_in, params, p, cfg.attention_heads),
                       cfg.dropout_rate, rng)
     x = ad.add(x, attn)
-    ffn_in = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    ffn = ad.dropout(model_module._mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
+    ffn_in = _layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
+    ffn = ad.dropout(_composed_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
     x = ad.add(x, ffn)
-    x = ad.layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
+    x = _layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
     return ad.transpose(x)
 
 
-def _sfe_blocks(cfg, seed):
-    """Random values for every level-1 SFE block, gains and shifts included."""
-    rng = derive_rng(seed, "sfe-blocks")
+def _composed_tfe(h_in, params, cfg, level):
+    """The temporal pathway as composed taped ops, one record per op."""
+    p = f"stfe{level}.tfe."
+    dense = model_module._dense
+    counts = Tensor(model_module._window_counts(cfg.embed_len, cfg.kernel_size))
+    trend = ad.mul(dense(h_in, counts), Tensor(1.0 / cfg.kernel_size))
+    seasonal = ad.add(h_in, ad.mul(trend, Tensor(-1.0)))
+    mixed = ad.add(ad.relu(dense(trend, params[p + "wt"])),
+                   ad.relu(dense(seasonal, params[p + "ws"])))
+    out = _composed_mlp2(mixed, params, p + "mlp.")
+    return _layer_norm(out, params[p + "norm.gain"], params[p + "norm.shift"])
+
+
+def _level_blocks(cfg, seed, pathway):
+    """Random values for every level-1 block of a pathway, gains and shifts included."""
+    rng = derive_rng(seed, f"{pathway}-blocks")
+    prefix = f"stfe1.{pathway}."
     return {name: Tensor(rng.normal(size=shape) / np.sqrt(shape[0]) + name.endswith(".gain"),
                          requires_grad=True)
-            for name, shape in param_shapes(cfg).items() if name.startswith("stfe1.sfe.")}
+            for name, shape in param_shapes(cfg).items() if name.startswith(prefix)}
 
 
-def _sfe_value_and_grads(forward, h, blocks, cfg, upstream, rng):
+def _value_and_grads(forward, h, blocks, upstream):
+    """forward(h, blocks)'s value, and the gradients of its dot with upstream."""
     h = Tensor(h, requires_grad=True)
     blocks = {name: Tensor(t.data, requires_grad=True) for name, t in blocks.items()}
     with ad.recording():
-        out = forward(h, blocks, cfg, 1, rng)
+        out = forward(h, blocks)
         ad.backward(ad.sum_all(ad.mul(out, Tensor(upstream))))
     return out.data, {"h": h.grad, **{name: t.grad for name, t in blocks.items()}}
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -307,23 +349,20 @@ def test_sfe_kernel_matches_the_composed_ops(heads, lead, dropout):
     rng = derive_rng(31, "sfe-kernel")
     h = rng.normal(size=(*lead, cfg.n_rois, cfg.embed_len))
     upstream = rng.normal(size=h.shape)
-    blocks = _sfe_blocks(cfg, 32)
+    blocks = _level_blocks(cfg, 32, "sfe")
     runs = [
-        _sfe_value_and_grads(forward, h, blocks, cfg, upstream,
-                             derive_rng(33, "dropout") if dropout else None)
+        _value_and_grads(
+            lambda h, b, _f=forward: _f(h, b, cfg, 1, derive_rng(33, "dropout") if dropout else None),
+            h, blocks, upstream)
         for forward in (sfe_forward, _composed_sfe)
     ]
     (out, grads), (ref_out, ref_grads) = runs
-
-    def rel(a, b):
-        return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
     assert out.shape == ref_out.shape
-    assert rel(out, ref_out) <= 1e-12
+    assert _rel(out, ref_out) <= 1e-12
     assert len(grads) == 15
     for name, ref in ref_grads.items():
         assert grads[name].shape == ref.shape
-        assert rel(grads[name], ref) <= 1e-10, name
+        assert _rel(grads[name], ref) <= 1e-10, name
 
 
 def test_sfe_is_one_tape_record(cfg, params):
@@ -342,18 +381,97 @@ def test_sfe_dropout_draws_two_token_masks(cfg, params):
     assert used.bit_generator.state == expected.bit_generator.state
 
 
-def test_tfe_constant_rows_have_no_seasonal_part(cfg):
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "batch1", "batch3"])
+def test_tfe_kernel_matches_the_composed_ops(lead):
+    cfg = tiny_config()
+    rng = derive_rng(34, "tfe-kernel")
+    h = rng.normal(size=(*lead, cfg.n_rois, cfg.embed_len))
+    upstream = rng.normal(size=h.shape)
+    blocks = _level_blocks(cfg, 35, "tfe")
+    (out, grads), (ref_out, ref_grads) = (
+        _value_and_grads(lambda h, b, _f=forward: _f(h, b, cfg, 1), h, blocks, upstream)
+        for forward in (tfe_forward, _composed_tfe)
+    )
+    assert out.tobytes() == ref_out.tobytes()
+    assert len(grads) == 9
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape
+        assert _rel(grads[name], ref) <= 1e-10, name
+
+
+def test_mlp2_kernel_matches_the_composed_ops(cfg):
+    rng = derive_rng(38, "mlp2-kernel")
+    h = rng.normal(size=(3, cfg.n_rois, cfg.embed_len))
+    upstream = rng.normal(size=h.shape)
+    blocks = _level_blocks(cfg, 39, "fuse")
+    (out, grads), (ref_out, ref_grads) = (
+        _value_and_grads(lambda h, b, _f=forward: _f(h, b, "stfe1.fuse."), h, blocks, upstream)
+        for forward in (model_module._mlp2, _composed_mlp2)
+    )
+    assert out.tobytes() == ref_out.tobytes()
+    assert len(grads) == 5
+    for name, ref in ref_grads.items():
+        assert _rel(grads[name], ref) <= 1e-12, name
+
+
+def test_tfe_is_one_tape_record(cfg, params):
+    h = Tensor(derive_rng(15, "h").normal(size=(3, 6, 8)), requires_grad=True)
+    with ad.recording() as tape:
+        tfe_forward(h, params, cfg, level=1)
+    assert len(tape.records) == 1
+
+
+@pytest.mark.parametrize("pathways, records", [
+    ({}, 4), ({"use_tfe": False}, 2), ({"use_sfe": False}, 2),
+], ids=["both", "sfe-only", "tfe-only"])
+def test_level_records_each_pathway_the_add_and_the_fuse_once(pathways, records):
+    cfg = tiny_config(**pathways)
+    params = init_params(cfg, derive_rng(16, "init"))
+    h = Tensor(derive_rng(17, "h").normal(size=(3, 6, 8)), requires_grad=True)
+    with ad.recording() as tape:
+        stfe_forward(h, 1, params, cfg, rng=derive_rng(18, "dropout"))
+    assert len(tape.records) == records  # no add when only one pathway runs
+
+
+def test_tfe_constant_rows_have_no_seasonal_part(cfg, params):
+    # Constant rows are their own trend, so ws sees zero rows: it changes
+    # nothing and gets an exactly zero gradient.
     h = Tensor(np.tile(np.arange(1.0, 7.0)[:, None], (1, 8)))
-    trend = moving_average(h, cfg.kernel_size)
-    seasonal = ad.sub(h, trend)
-    np.testing.assert_array_equal(seasonal.data, np.zeros((6, 8)))
+    zero_ws = {**params, "stfe1.tfe.ws": Tensor(np.zeros((8, 8)))}
+    upstream = Tensor(derive_rng(19, "g").normal(size=(6, 8)))
+    with ad.recording():
+        out = tfe_forward(h, params, cfg, level=1)
+        ad.backward(ad.sum_all(ad.mul(out, upstream)))
+    assert out.data.tobytes() == tfe_forward(h, zero_ws, cfg, level=1).data.tobytes()
+    np.testing.assert_array_equal(params["stfe1.tfe.ws"].grad, np.zeros((8, 8)))
 
 
 def test_tfe_decomposition_reconstructs_input(cfg):
-    h = Tensor(derive_rng(4, "h").normal(size=(6, 8)))
-    trend = moving_average(h, cfg.kernel_size)
-    seasonal = ad.sub(h, trend)
-    np.testing.assert_allclose(ad.add(trend, seasonal).data, h.data, atol=1e-15)
+    h = derive_rng(4, "h").normal(size=(6, 8))
+    trend = (h @ model_module._window_counts(8, cfg.kernel_size)) * (1.0 / cfg.kernel_size)
+    np.testing.assert_allclose(trend + (h - trend), h, atol=1e-15)
+
+
+@pytest.mark.parametrize("pathway", ["sfe", "tfe"])
+def test_tape_free_kernel_peak_is_no_higher_than_the_composed_ops(pathway):
+    # A forward that makes no record drops each array its pull would have
+    # read once the forward is done with it, as the composed ops do.
+    cfg = tiny_config(n_rois=32, embed_len=16, hidden_size=16, series_len=40)
+    h = Tensor(derive_rng(36, "h").normal(size=(8, cfg.n_rois, cfg.embed_len)))
+    blocks = _level_blocks(cfg, 37, pathway)
+    kernel, composed = {"sfe": (sfe_forward, _composed_sfe),
+                        "tfe": (tfe_forward, _composed_tfe)}[pathway]
+    peaks = []
+    for forward in (composed, kernel):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward(h, blocks, cfg, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad  # the blocks need gradients; only the tape is missing
+    assert peaks[1] <= peaks[0]
 
 
 def test_tfe_weight_gradients(cfg, params):
