@@ -189,26 +189,6 @@ def matmul(a, b):
     return _op(a.data @ b.data, (a, b), pull)
 
 
-def bmm(a, b):
-    """Stacked product [..., p x q] @ [..., q x r] of two per-scan stacks.
-
-    The leading (batch) axes of both operands must be equal; nothing is
-    broadcast. A product with a shared 2-D weight belongs in `matmul`.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
-    if len(ash) < 2 or ash[:-2] != bsh[:-2] or ash[-1:] != bsh[-2:-1]:
-        raise ShapeError(f"bmm expects [..., p x q] @ [..., q x r], got {ash} @ {bsh}")
-
-    def pull(g, acc):
-        if a.requires_grad:
-            acc(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return _op(np.matmul(a.data, b.data), (a, b), pull)
-
-
 def transpose(x):
     """Swap the last two axes; leading axes are batch axes."""
     x = _as_tensor(x)
@@ -398,9 +378,11 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     transposed back to [..., n x l]. `blocks` maps each ENCODER_BLOCKS name
     to its tensor. `keep` is None (no dropout) or the attention and the
     feed-forward bool masks [..., l x n]; survivors scale by 1/(1-rate).
-    One record, which keeps each norm's normalised rows and inverse stds,
-    the ln1 and ln2 outputs, q, k, v, the attention weights, the merged
-    heads, the hidden activations and the masks as bool.
+    One record, which keeps the ln2 and ln_out norms' normalised rows, every
+    norm's inverse stds, q, k, v, the attention weights, the merged heads,
+    the hidden activations and the masks as bool. Its pull recomputes the
+    ln1 normalised rows from h and their inverse stds, and the ln1 and ln2
+    outputs from the normalised rows.
     """
     h = _as_tensor(h)
     tensors = tuple(_as_tensor(blocks[name]) for name in ENCODER_BLOCKS)
@@ -426,11 +408,11 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
     xhat1, inv1 = _norm_rows(x)
     a1 = xhat1 * g1 + s1
+    del xhat1
     if not taped:
-        del xhat1, inv1
+        del inv1
     q, k, v = _dense(a1, wq), _dense(a1, wk), _dense(a1, wv)
-    if not taped:
-        del a1
+    del a1
     att = _softmax(np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(d)))
     merged = merge(np.matmul(att, split(v)))
     if not taped:
@@ -443,8 +425,9 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     if not taped:
         del xhat2, inv2
     hid, f = _mlp2_forward(a2, w1, b1, w2, b2)
+    del a2
     if not taped:
-        del a2, hid
+        del hid
     x = x + drop(f, m2)
     del f
     xhat3, inv3 = _norm_rows(x)
@@ -454,7 +437,7 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     def pull(g, acc):
         gx, gg3, gs3 = _norm_rows_pull(np.ascontiguousarray(np.swapaxes(g, -1, -2)),
                                        xhat3, inv3, g3)
-        da2, gw1, gb1, gw2, gb2 = _mlp2_pull(drop(gx, m2), a2, hid, w1, w2)
+        da2, gw1, gb1, gw2, gb2 = _mlp2_pull(drop(gx, m2), xhat2 * g2 + s2, hid, w1, w2)
         da2, gg2, gs2 = _norm_rows_pull(da2, xhat2, inv2, g2)
         gx = gx + da2
         datt = drop(gx, m1)
@@ -464,7 +447,12 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
         dk = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q)))
         dv = merge(np.matmul(np.swapaxes(att, -1, -2), do))
         da1 = _dense(dq, wq.T) + _dense(dk, wk.T) + _dense(dv, wv.T)
+        x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
+        xhat1 = (x - x.mean(axis=-1, keepdims=True)) * inv1  # as `_norm_rows` computes it
+        del x
         dx, gg1, gs1 = _norm_rows_pull(da1, xhat1, inv1, g1)
+        a1 = xhat1 * g1 + s1
+        del xhat1
         grads = (np.swapaxes(gx + dx, -1, -2), gg1, gs1,
                  _wgrad(a1, dq), _wgrad(a1, dk), _wgrad(a1, dv), _wgrad(merged, datt), gg2, gs2,
                  gw1, gb1, gw2, gb2, gg3, gs3)
@@ -527,6 +515,56 @@ def tfe_layer(h, blocks, counts, window):
     return _op(out, (h, *tensors), pull)
 
 
+def _graph_conv(adj, h, w):
+    """One graph-convolution layer: h·w, and relu(adj·(h·w) + h·w)."""
+    y = _dense(h, w)
+    return y, np.clip(np.matmul(adj, y) + y, 0.0, np.inf)
+
+
+def _graph_conv_pull(g, out, adj, y, acc):
+    """Push the adjacency's adjoint for a `_graph_conv` with output `out`, and
+    return the adjoint of y = h·w. The ReLU passes where out > 0 and finite,
+    which is where the pre-activation does."""
+    gs = g * ((out > 0.0) & (out < np.inf))
+    if adj.requires_grad:
+        acc(adj, np.matmul(gs, np.swapaxes(y, -1, -2)))
+    return gs + np.matmul(np.swapaxes(adj.data, -1, -2), gs)
+
+
+def gcn2(adj, x, w0, w1):
+    """Two graph-convolution layers over node features x [..., n x d] and a
+    graph adj [..., n x n] with x's leading axes: h1 = relu(adj·(x·w0) + x·w0),
+    then relu(adj·(h1·w1) + h1·w1). One record, which keeps x·w0, h1 and
+    h1·w1; its pull takes each layer's ReLU mask from that layer's output and
+    pushes the graph's adjoint for the second layer before the first.
+    """
+    tensors = tuple(_as_tensor(t) for t in (adj, x, w0, w1))
+    adj, x, w0, w1 = tensors
+    ash, xsh, w0sh, w1sh = (t.data.shape for t in tensors)
+    if (len(ash) < 2 or ash[-1:] != ash[-2:-1] or ash[:-1] != xsh[:-1] or len(w0sh) != 2
+            or len(w1sh) != 2 or xsh[-1:] != w0sh[:1] or w0sh[1:] != w1sh[:1]):
+        raise ShapeError(f"gcn2 expects [..., n x n], [..., n x d], [d x g] and [g x e] with "
+                         f"equal leading axes, got {ash}, {xsh}, {w0sh} and {w1sh}")
+    taped = _records(tensors)
+
+    y0, h1 = _graph_conv(adj.data, x.data, w0.data)
+    if not taped:
+        del y0
+    y1, out = _graph_conv(adj.data, h1, w1.data)
+    if not taped:
+        del h1, y1
+
+    def pull(g, acc):
+        gy1 = _graph_conv_pull(g, out, adj, y1, acc)
+        acc(w1, _wgrad(h1, gy1))
+        gy0 = _graph_conv_pull(_dense(gy1, w1.data.T), h1, adj, y0, acc)
+        if x.requires_grad:
+            acc(x, _dense(gy0, w0.data.T))
+        acc(w0, _wgrad(x.data, gy0))
+
+    return _op(out, tensors, pull)
+
+
 def cosine_graph(x, site):
     """Cosine-similarity graph [..., n x n] of the rows of x [..., n x d]: the
     unit-norm rows' Gram matrix, symmetrized, clipped to [-1, 1], diagonal 1.
@@ -534,7 +572,7 @@ def cosine_graph(x, site):
     graph of the mean-centred series. Zero-norm rows stay zero (with a
     `ZeroNormRowsWarning` that names the caller's `site`) and get no
     gradient. One record, whose pull maps the graph adjoint straight back to
-    the rows of x."""
+    the rows of x; it keeps the row norms and recomputes the unit rows."""
     x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"cosine_graph expects [..., n x d], got shape {x.data.shape}")
@@ -557,6 +595,7 @@ def cosine_graph(x, site):
         # exactly symmetric: one product, with the 2 folded into s.
         s = g * ((a > -1.0) & (a < 1.0))
         s = s + np.swapaxes(s, -1, -2)
+        y = x.data / safe
         gy = np.matmul(s, y)
         d = (gy - y * (gy * y).sum(axis=-1, keepdims=True)) / safe
         d[zero] = 0.0
@@ -568,13 +607,17 @@ def cosine_graph(x, site):
 def class_spread(stack, mean_of, weight):
     """Sum of weight * diff**2, diff = stack - mean_of·stack, over the samples
     of stack [B x ...] as flat rows; mean_of [B x B] and weight [B x 1] are
-    constant arrays. One record."""
+    constant arrays. One record, whose pull recomputes diff."""
     stack = _as_tensor(stack)
-    flat = stack.data.reshape(len(mean_of), -1)
-    diff = flat - mean_of @ flat
+
+    def differences():
+        flat = stack.data.reshape(len(mean_of), -1)
+        return flat - mean_of @ flat
+
+    diff = differences()
 
     def pull(g, acc):
-        d = g * weight * diff * 2.0
+        d = g * weight * differences() * 2.0
         acc(stack, (d - mean_of.T @ d).reshape(stack.data.shape))
 
     return _op((diff * diff * weight).sum(), (stack,), pull)

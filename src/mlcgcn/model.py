@@ -318,20 +318,18 @@ def stfe_forward(h_in, level, params, cfg: ModelConfig, rng=None):
 
 
 def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
-    """Two graph-convolution layers with added self-connections.
+    """Two graph-convolution layers with added self-connections, as one
+    `ad.gcn2` record.
 
     Each layer is relu((A + I) h W) with no degree normalization, computed
     as A (h W) + h W so the n x n product meets the narrow h W and no
     identity matrix is built; node features start from the Pearson matrix.
+    The record keeps each layer's h W and the first layer's output.
     """
     n = cfg.n_rois
     if adj.data.shape[-2:] != (n, n):
         raise ShapeError(f"adjacency must be [{n} x {n}], got {adj.data.shape}")
-    h = node_feats
-    for name in ("w0", "w1"):
-        y = _dense(h, params[f"gcn{level}.{name}"])
-        h = ad.relu(ad.add(ad.bmm(adj, y), y))
-    return h
+    return ad.gcn2(adj, node_feats, params[f"gcn{level}.w0"], params[f"gcn{level}.w1"])
 
 
 def readout(gcn_out, params, cfg: ModelConfig, level):

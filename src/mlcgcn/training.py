@@ -79,16 +79,18 @@ def adamw_step(params, state: OptimizerState, cfg: TrainConfig):
     """One optimizer step over all parameters, reading grads from `.grad`.
 
     Moments use bias correction; weight decay is decoupled from the adaptive
-    update. A non-finite gradient aborts the step naming the parameter.
+    update. A non-finite gradient refuses the step before any block, moment
+    or the step count changes, naming the first such parameter.
     """
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingError(f"step aborted: non-finite gradient in parameter {name!r}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise TrainingError(f"step aborted: non-finite gradient in parameter {name!r}")
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / bc1

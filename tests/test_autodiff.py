@@ -379,6 +379,9 @@ def _tfe_blocks(l, seed):
 _TFE = _tfe_blocks(5, 90)
 _MLP2_SHAPES = [(4, 5), (5,), (5, 4), (4,)]
 _MLP2 = [Tensor(_rand(shape, 95 + i)) for i, shape in enumerate(_MLP2_SHAPES)]
+# gcn2 on a batch of two 3-node graphs with 4 features, 5 then 2 hidden units.
+_GCN2_SHAPES = [(2, 3, 3), (2, 3, 4), (4, 5), (5, 2)]
+_GCN2 = [Tensor(_rand(shape, 100 + i)) for i, shape in enumerate(_GCN2_SHAPES)]
 
 OP_CASES = [
     ("add", lambda p: ad.add(p, Tensor(_rand((3, 4), 10))), (3, 4)),
@@ -390,8 +393,6 @@ OP_CASES = [
     ("clamp", lambda p: ad.clamp(p, -0.5, 0.5), (3, 4)),
     ("matmul_left", lambda p: ad.matmul(p, Tensor(_rand((4, 2), 16))), (3, 4)),
     ("matmul_right", lambda p: ad.matmul(Tensor(_rand((2, 3), 17)), p), (3, 4)),
-    ("bmm_left", lambda p: ad.bmm(p, Tensor(_rand((2, 4, 3), 23))), (2, 3, 4)),
-    ("bmm_right", lambda p: ad.bmm(Tensor(_rand((2, 2, 3), 24)), p), (2, 3, 4)),
     ("transpose", ad.transpose, (3, 4)),
     ("transpose_3d", ad.transpose, (2, 3, 4)),
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
@@ -404,6 +405,10 @@ OP_CASES = [
     ("encoder_layer", lambda p: ad.encoder_layer(p, _ENCODER, 2, _KEEP, 0.3), (4, 3)),
     ("tfe_layer", lambda p: ad.tfe_layer(p, _TFE, _window_counts(5, 3), 3), (2, 3, 5)),
     ("mlp2", lambda p: ad.mlp2(p, *_MLP2), (2, 3, 4)),
+    ("gcn2_graph", lambda p: ad.gcn2(p, *_GCN2[1:]), (2, 3, 3)),
+    ("gcn2_features", lambda p: ad.gcn2(Tensor(_rand((3, 3), 104)), p, *_GCN2[2:]), (3, 4)),
+    ("gcn2_w0", lambda p: ad.gcn2(*_GCN2[:2], p, _GCN2[3]), (4, 5)),
+    ("gcn2_w1", lambda p: ad.gcn2(*_GCN2[:3], p), (5, 2)),
     ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
     # rebuilding the rng per call keeps the dropout mask fixed across the
     # repeated evaluations the finite-difference oracle performs
@@ -419,7 +424,6 @@ POLICY_CASES = [
     ("log", ad.log, [(3, 4)]),
     ("clamp", lambda x: ad.clamp(x, 0.8, 1.2), [(3, 4)]),
     ("matmul", ad.matmul, [(3, 4), (4, 2)]),
-    ("bmm", ad.bmm, [(2, 3, 4), (2, 4, 2)]),
     ("transpose", ad.transpose, [(2, 3, 4)]),
     ("reshape", lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
     ("concat", lambda a, b: ad.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
@@ -440,6 +444,7 @@ POLICY_CASES = [
         [(2, 5), *_tfe_shapes(5).values()],
     ),
     ("mlp2", ad.mlp2, [(3, 4), *_MLP2_SHAPES]),
+    ("gcn2", ad.gcn2, _GCN2_SHAPES),
     ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
 ]
 
@@ -470,9 +475,15 @@ def test_op_adjoint_matches_finite_differences(name, op, shape):
     assert ad.finite_diff_check(f, p, eps=1e-4) < 1e-4
 
 
-def test_bmm_rejects_unequal_batch_axes():
-    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
-        ad.bmm(tensor(np.ones((2, 3, 4))), tensor(np.ones((3, 4, 2))))
+@pytest.mark.parametrize("shapes", [
+    [(2, 3, 3), (3, 3, 4), (4, 5), (5, 2)],  # the graph lacks the features' batch axis
+    [(2, 3, 3), (2, 3, 4), (3, 5), (5, 2)],  # w0 does not take 4 features
+    [(2, 3, 3), (2, 3, 4), (4, 5), (4, 2)],  # w1 does not take w0's 5 outputs
+], ids=["graph", "w0", "w1"])
+def test_gcn2_rejects_shapes_that_do_not_chain(shapes):
+    got = ", ".join(map(str, shapes[:3])) + f" and {shapes[3]}"
+    with pytest.raises(ShapeError, match=re.escape(f"got {got}")):
+        ad.gcn2(*(tensor(np.ones(s)) for s in shapes))
 
 
 def test_encoder_layer_rejects_a_width_the_heads_do_not_divide():

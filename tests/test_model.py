@@ -1,6 +1,7 @@
 """Model-architecture tests: shape contracts, hand oracles, gradients,
 permutation equivariance, checkpoint round trips."""
 
+import functools
 import json
 import tracemalloc
 
@@ -267,6 +268,20 @@ def _layer_norm(x, gain, shift):
     return ad._op(xhat * gain.data + shift.data, (x, gain, shift), pull)
 
 
+def _bmm(a, b):
+    """Stacked product [..., p x q] @ [..., q x r] as one taped op with a
+    hand-derived pull: the reference for the stacked products inside the
+    kernels."""
+
+    def pull(g, acc):
+        if a.requires_grad:
+            acc(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return ad._op(np.matmul(a.data, b.data), (a, b), pull)
+
+
 def _composed_mlp2(x, params, prefix):
     """The ReLU two-layer perceptron as composed taped ops: the reference for `ad.mlp2`."""
     dense = model_module._dense
@@ -284,9 +299,9 @@ def _composed_attention(x, params, prefix, heads):
         return ad.reshape(projected, (*lead, heads, d, tokens))
 
     q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
-    scores = ad.mul(ad.bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
+    scores = ad.mul(_bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
     attn = ad.softmax_rows(scores)
-    merged_t = ad.reshape(ad.bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
+    merged_t = ad.reshape(_bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
     return model_module._dense(ad.transpose(merged_t), params[prefix + "wo"])
 
 
@@ -319,9 +334,10 @@ def _composed_tfe(h_in, params, cfg, level):
 
 
 def _level_blocks(cfg, seed, pathway):
-    """Random values for every level-1 block of a pathway, gains and shifts included."""
+    """Random values for every level-1 block of a pathway ("sfe", "tfe",
+    "fuse" or "gcn"), gains and shifts included."""
     rng = derive_rng(seed, f"{pathway}-blocks")
-    prefix = f"stfe1.{pathway}."
+    prefix = "gcn1." if pathway == "gcn" else f"stfe1.{pathway}."
     return {name: Tensor(rng.normal(size=shape) / np.sqrt(shape[0]) + name.endswith(".gain"),
                          requires_grad=True)
             for name, shape in param_shapes(cfg).items() if name.startswith(prefix)}
@@ -452,15 +468,21 @@ def test_tfe_decomposition_reconstructs_input(cfg):
     np.testing.assert_allclose(trend + (h - trend), h, atol=1e-15)
 
 
-@pytest.mark.parametrize("pathway", ["sfe", "tfe"])
+@pytest.mark.parametrize("pathway", ["sfe", "tfe", "gcn"])
 def test_tape_free_kernel_peak_is_no_higher_than_the_composed_ops(pathway):
     # A forward that makes no record drops each array its pull would have
     # read once the forward is done with it, as the composed ops do.
     cfg = tiny_config(n_rois=32, embed_len=16, hidden_size=16, series_len=40)
-    h = Tensor(derive_rng(36, "h").normal(size=(8, cfg.n_rois, cfg.embed_len)))
+    rng = derive_rng(36, "h")
+    h = Tensor(rng.normal(size=(8, cfg.n_rois, cfg.embed_len)))
     blocks = _level_blocks(cfg, 37, pathway)
     kernel, composed = {"sfe": (sfe_forward, _composed_sfe),
-                        "tfe": (tfe_forward, _composed_tfe)}[pathway]
+                        "tfe": (tfe_forward, _composed_tfe),
+                        "gcn": (gcn_forward, _composed_gcn)}[pathway]
+    if pathway == "gcn":  # node features [8 x n x n] on a constant graph
+        graph = Tensor(rng.normal(size=(8, cfg.n_rois, cfg.n_rois)))
+        h = Tensor(rng.normal(size=graph.shape))
+        kernel, composed = (functools.partial(f, graph) for f in (kernel, composed))
     peaks = []
     for forward in (composed, kernel):
         tracemalloc.start()
@@ -679,6 +701,95 @@ def test_gcn_weight_gradients():
             return ad.sum_all(gcn_forward(adj, f, {**params, _n: p}, cfg, level=0))
 
         assert ad.finite_diff_check(g, params[name], eps=1e-5) < 1e-4
+
+
+def _composed_gcn(adj, node_feats, params, cfg, level):
+    """The two GCN layers as composed taped ops, one record per op: the
+    reference for `ad.gcn2`."""
+    h = node_feats
+    for name in ("w0", "w1"):
+        y = model_module._dense(h, params[f"gcn{level}.{name}"])
+        h = ad.relu(ad.add(_bmm(adj, y), y))
+    return h
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "batch1", "batch3"])
+def test_gcn_kernel_matches_the_composed_ops_bit_for_bit(lead):
+    # The graph also feeds a class_spread that the tape records after the
+    # GCN, so its adjoint sums (class_spread + layer 1) + layer 0 on both sides.
+    cfg = tiny_config()
+    n = cfg.n_rois
+    rng = derive_rng(40, "gcn-kernel")
+    graph = generate_adjacency(Tensor(rng.normal(size=(*lead, n, 4))), 1).data
+    feats = rng.normal(size=(*lead, n, n))
+    upstream = rng.normal(size=(*lead, n, cfg.gcn_hidden))
+    samples = len(graph)  # class_spread's rows: the scans, or one graph's rows
+    mean_of, weight = rng.random((samples, samples)), rng.random((samples, 1))
+    blocks = _level_blocks(cfg, 41, "gcn")
+    runs = []
+    for forward in (gcn_forward, _composed_gcn):
+        leaves = {"adj": Tensor(graph, requires_grad=True), "feats": Tensor(feats, requires_grad=True),
+                  **{name: Tensor(t.data, requires_grad=True) for name, t in blocks.items()}}
+        with ad.recording():
+            out = forward(leaves["adj"], leaves["feats"], leaves, cfg, 1)
+            ad.backward(ad.add(ad.sum_all(ad.mul(out, Tensor(upstream))),
+                               ad.class_spread(leaves["adj"], mean_of, weight)))
+        runs.append((out.data, {name: t.grad for name, t in leaves.items()}))
+    (out, grads), (ref_out, ref_grads) = runs
+    assert 0.0 < (out == 0.0).mean() < 1.0  # the ReLU both passes and blocks
+    assert out.tobytes() == ref_out.tobytes()
+    assert len(grads) == 4
+    for name, ref in ref_grads.items():
+        assert grads[name].tobytes() == ref.tobytes(), name
+
+
+def test_gcn_is_one_tape_record(cfg, params):
+    rng = derive_rng(42, "gcn")
+    adj = Tensor(rng.normal(size=(3, 6, 6)), requires_grad=True)
+    with ad.recording() as tape:
+        gcn_forward(adj, Tensor(rng.normal(size=(3, 6, 6))), params, cfg, level=1)
+    assert len(tape.records) == 1
+
+
+def _kept_bytes(records, exclude):
+    """Bytes of the distinct array buffers the records hold, as outputs,
+    inputs or arrays their pulls close over, apart from those of `exclude`."""
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    skip = {id(base(t.data)) for t in exclude}
+    buffers, seen = {}, set()
+    todo = [obj for record in records for obj in (record[0], *record[1], record[2])]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, np.ndarray):
+            if id(base(obj)) not in skip:
+                buffers[id(base(obj))] = base(obj).nbytes
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj):
+            todo.extend(cell.cell_contents for cell in getattr(obj, "__closure__", None) or ())
+    return sum(buffers.values())
+
+
+def test_taped_gcn_record_keeps_at_most_half_the_composed_bytes(cfg, params):
+    rng = derive_rng(43, "gcn")
+    adj = Tensor(rng.normal(size=(3, 6, 6)), requires_grad=True)
+    feats = Tensor(rng.normal(size=(3, 6, 6)))
+    inputs = (adj, feats, params["gcn1.w0"], params["gcn1.w1"])
+    kept = []
+    for forward in (_composed_gcn, gcn_forward):
+        with ad.recording() as tape:
+            forward(adj, feats, params, cfg, 1)
+        kept.append(_kept_bytes(tape.records, inputs))
+    assert 0 < kept[1] <= kept[0] / 2
 
 
 def test_readout_identical_rows_pool_to_single_row(cfg, params):

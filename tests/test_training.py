@@ -101,6 +101,20 @@ def test_adamw_nonfinite_gradient_names_parameter():
         adamw_step(params, state, TrainConfig())
 
 
+def test_adamw_refused_step_changes_nothing():
+    params = {name: Tensor(np.array([1.0, -2.0]), requires_grad=True) for name in "abc"}
+    params["a"].grad = np.array([0.5, 0.5])
+    params["b"].grad = np.array([0.1, np.nan])
+    params["c"].grad = np.array([np.inf, 0.0])
+    state = OptimizerState.for_params(params)
+    before = {name: p.data.tobytes() for name, p in params.items()}
+    with pytest.raises(TrainingError, match="'b'"):
+        adamw_step(params, state, TrainConfig())
+    assert {name: p.data.tobytes() for name, p in params.items()} == before
+    assert all(not state.m[name].any() and not state.v[name].any() for name in params)
+    assert state.step == 0
+
+
 # ---------------------------------------------------------------------------
 # mixup
 
