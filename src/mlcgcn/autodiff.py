@@ -299,28 +299,35 @@ def _wgrad(a, da):
     return a.reshape(-1, a.shape[-1]).T @ da.reshape(-1, da.shape[-1])
 
 
-def _mlp2_forward(x, w1, b1, w2, b2):
-    """The hidden activations relu(x·w1 + b1) and the output hidden·w2 + b2."""
-    hid = np.maximum(_dense(x, w1) + b1, 0.0)
+def _drop(a, keep, rate):
+    """a with the units the bool mask `keep` drops zeroed, survivors scaled by 1/(1-rate)."""
+    return a if keep is None else a * keep * (1.0 / (1.0 - rate))
+
+
+def _mlp2_forward(x, w1, b1, w2, b2, keep=None, rate=0.0):
+    """The hidden activations relu(x·w1 + b1), dropped by `keep`, and hidden·w2 + b2."""
+    hid = _drop(np.maximum(_dense(x, w1) + b1, 0.0), keep, rate)
     return hid, _dense(hid, w2) + b2
 
 
-def _mlp2_pull(g, x, hid, w1, w2):
+def _mlp2_pull(g, x, hid, w1, w2, keep=None, rate=0.0):
     """Adjoints of x, w1, b1, w2 and b2 for `_mlp2_forward`."""
-    dpre = _dense(g, w2.T) * (hid > 0.0)
+    dpre = _drop(_dense(g, w2.T), keep, rate) * (hid > 0.0)
     return (_dense(dpre, w1.T), _wgrad(x, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
             _wgrad(hid, g), g.reshape(-1, g.shape[-1]).sum(axis=0))
 
 
-def mlp2(x, w1, b1, w2, b2):
+def mlp2(x, w1, b1, w2, b2, keep=None, rate=0.0):
     """Two-layer perceptron relu(x·w1 + b1)·w2 + b2 over the last axis of
-    x [..., d]. One record, which keeps the hidden activations."""
+    x [..., d]. `keep` is None (no dropout) or a bool mask of the hidden
+    units [..., h]; survivors scale by 1/(1-rate). One record, which keeps
+    the dropped hidden activations and the mask."""
     tensors = tuple(_as_tensor(t) for t in (x, w1, b1, w2, b2))
     x, w1, b1, w2, b2 = (t.data for t in tensors)
-    hid, out = _mlp2_forward(x, w1, b1, w2, b2)
+    hid, out = _mlp2_forward(x, w1, b1, w2, b2, keep, rate)
 
     def pull(g, acc):
-        for t, grad in zip(tensors, _mlp2_pull(g, x, hid, w1, w2)):
+        for t, grad in zip(tensors, _mlp2_pull(g, x, hid, w1, w2, keep, rate)):
             acc(t, grad)
 
     return _op(out, tensors, pull)
@@ -342,33 +349,12 @@ def _norm_rows_pull(g, xhat, inv, gain):
     return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
-def dropout(x, rate, rng=None):
-    """Zero elements with probability `rate`, scaling survivors by 1/(1-rate).
-
-    Dropout is on iff an rng is given: the identity without one or at rate 0,
-    otherwise a product with the mask keep/(1-rate) drawn from it. The record
-    keeps the mask as bool.
-    """
-    x = _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
-        return x
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-
-    def pull(g, acc):
-        acc(x, g * keep * scale)
-
-    return _op(x.data * keep * scale, (x,), pull)
-
-
 # The blocks of `encoder_layer`, in the order its record lists them after h.
 ENCODER_BLOCKS = ("ln1.gain", "ln1.shift", "wq", "wk", "wv", "wo", "ln2.gain", "ln2.shift",
                   "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln_out.gain", "ln_out.shift")
 
 
-def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
+def encoder_layer(h, blocks, heads, keep=(None, None), rate=0.0):
     """One pre-norm transformer-encoder layer over h [..., n x l] whose tokens
     are the l columns; the model width n splits across `heads`.
 
@@ -376,8 +362,9 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     per-head softmax(q·kᵀ/√d)·v and q, k, v = ln1(x)·wq, ·wk, ·wv; then
     x += dropout(ffn(ln2(x))), a ReLU feed-forward net; then ln_out(x),
     transposed back to [..., n x l]. `blocks` maps each ENCODER_BLOCKS name
-    to its tensor. `keep` is None (no dropout) or the attention and the
-    feed-forward bool masks [..., l x n]; survivors scale by 1/(1-rate).
+    to its tensor. `keep` holds the attention and the feed-forward bool
+    masks [..., l x n], each None for no dropout; survivors scale by
+    1/(1-rate).
     One record, which keeps the ln2 and ln_out norms' normalised rows, every
     norm's inverse stds, q, k, v, the attention weights, the merged heads,
     the hidden activations and the masks as bool. Its pull recomputes the
@@ -392,12 +379,8 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
                          f"{heads} heads, got shape {h.data.shape}")
     *lead, n, l = h.data.shape
     d = n // heads
-    m1, m2 = keep if keep is not None else (None, None)
-    scale = 1.0 / (1.0 - rate)
+    m1, m2 = keep
     taped = _records((h, *tensors))
-
-    def drop(a, mask):
-        return a if mask is None else a * mask * scale
 
     def split(a):  # [..., l x n] -> a [..., heads x l x d] view
         return np.swapaxes(a.reshape(*lead, l, heads, d), -3, -2)
@@ -417,7 +400,7 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     merged = merge(np.matmul(att, split(v)))
     if not taped:
         del q, k, v, att
-    x = x + drop(_dense(merged, wo), m1)
+    x = x + _drop(_dense(merged, wo), m1, rate)
     if not taped:
         del merged
     xhat2, inv2 = _norm_rows(x)
@@ -428,7 +411,7 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     del a2
     if not taped:
         del hid
-    x = x + drop(f, m2)
+    x = x + _drop(f, m2, rate)
     del f
     xhat3, inv3 = _norm_rows(x)
     del x
@@ -437,10 +420,10 @@ def encoder_layer(h, blocks, heads, keep=None, rate=0.0):
     def pull(g, acc):
         gx, gg3, gs3 = _norm_rows_pull(np.ascontiguousarray(np.swapaxes(g, -1, -2)),
                                        xhat3, inv3, g3)
-        da2, gw1, gb1, gw2, gb2 = _mlp2_pull(drop(gx, m2), xhat2 * g2 + s2, hid, w1, w2)
+        da2, gw1, gb1, gw2, gb2 = _mlp2_pull(_drop(gx, m2, rate), xhat2 * g2 + s2, hid, w1, w2)
         da2, gg2, gs2 = _norm_rows_pull(da2, xhat2, inv2, g2)
         gx = gx + da2
-        datt = drop(gx, m1)
+        datt = _drop(gx, m1, rate)
         do = split(_dense(datt, wo.T))
         ds = _softmax_pull(np.matmul(do, np.swapaxes(split(v), -1, -2)), att) * (1.0 / np.sqrt(d))
         dq = merge(np.matmul(ds, split(k)))

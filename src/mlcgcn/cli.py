@@ -173,6 +173,16 @@ def _manifest_geometry(manifest):
     }
 
 
+def _check_fits(model, args, names=("n_rois", "series_len", "classes")):
+    """Refuse a checkpoint whose `names` differ from the manifest's before any scan is read."""
+    geometry = _manifest_geometry(load_manifest(args.manifest))
+    mismatches = [f"{name}: checkpoint {getattr(model.config, name)} vs manifest {geometry[name]}"
+                  for name in names if getattr(model.config, name) != geometry[name]]
+    if mismatches:
+        raise ConfigError(f"checkpoint {args.checkpoint} does not fit manifest {args.manifest}: "
+                          + "; ".join(mismatches))
+
+
 def _fill_model_defaults(typed, manifest):
     """Model geometry follows the dataset; explicit conflicting keys fail fast."""
     for name, value in _manifest_geometry(manifest).items():
@@ -232,14 +242,7 @@ def cmd_train(args):
 def cmd_eval(args):
     outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
-    manifest = load_manifest(args.manifest)
-    mismatches = [
-        f"{name}: checkpoint {getattr(model.config, name)} vs manifest {value}"
-        for name, value in _manifest_geometry(manifest).items()
-        if getattr(model.config, name) != value
-    ]
-    if mismatches:
-        raise ConfigError("checkpoint/manifest mismatch: " + "; ".join(mismatches))
+    _check_fits(model, args)
     samples = load_dataset(args.manifest)
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
@@ -328,6 +331,7 @@ def cmd_export(args):
     model = MLCGCN.load(args.checkpoint)
     if level > model.config.levels:
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
+    _check_fits(model, args, ("n_rois", "series_len"))  # export never reads the class count
     samples = load_dataset(args.manifest)
     mean = graph_stats(model, samples, pick).mean()
     write_snapshot(outdir, args)

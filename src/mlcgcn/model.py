@@ -269,9 +269,17 @@ def _window_counts(l, window):
     return counts
 
 
-def _mlp2(x, params, prefix):
-    """Two-layer perceptron with a ReLU hidden layer: one `ad.mlp2` record."""
-    return ad.mlp2(x, *(params[prefix + name] for name in ("w1", "b1", "w2", "b2")))
+def _mlp2(x, params, prefix, keep=None, rate=0.0):
+    """ReLU two-layer perceptron, hidden units dropped by `keep`: one `ad.mlp2` record."""
+    return ad.mlp2(x, *(params[prefix + name] for name in ("w1", "b1", "w2", "b2")), keep, rate)
+
+
+def _keep_mask(shape, cfg: ModelConfig, rng):
+    """A bool dropout mask of `shape` drawn from rng, or None: dropout is on
+    iff an rng is given and the rate is above 0."""
+    if rng is None or cfg.dropout_rate == 0.0:
+        return None
+    return rng.random(shape) >= cfg.dropout_rate
 
 
 def sfe_forward(h_in, params, cfg: ModelConfig, level, rng=None):
@@ -283,10 +291,8 @@ def sfe_forward(h_in, params, cfg: ModelConfig, level, rng=None):
     mask and then the feed-forward mask [..., l x n] are drawn from `rng`.
     """
     p = f"stfe{level}.sfe."
-    keep = None
-    if rng is not None and cfg.dropout_rate > 0.0:
-        *lead, n, l = h_in.data.shape
-        keep = tuple(rng.random((*lead, l, n)) >= cfg.dropout_rate for _ in range(2))
+    *lead, n, l = h_in.data.shape
+    keep = tuple(_keep_mask((*lead, l, n), cfg, rng) for _ in range(2))
     blocks = {name: params[p + name] for name in ad.ENCODER_BLOCKS}
     return ad.encoder_layer(h_in, blocks, cfg.attention_heads, keep, cfg.dropout_rate)
 
@@ -350,8 +356,8 @@ def predict(x, params, cfg: ModelConfig, rng=None):
     batch of one whose batch axis is dropped again on the way out: the
     probabilities are [c] and every LevelOutputs tensor loses its leading B.
     The generated graphs of all K levels are produced regardless of the
-    encoded subset so losses and exports can see them. Dropout is on iff
-    `rng` is given.
+    encoded subset so losses and exports can see them. Dropout masks (see
+    `_keep_mask`) are drawn level by level, then the head's [B x hidden_size].
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     single = x.data.ndim == 2
@@ -375,10 +381,8 @@ def predict(x, params, cfg: ModelConfig, rng=None):
         embeddings.append(readout(encoded, params, cfg, k))
 
     stacked = ad.concat(embeddings, axis=-1)  # [B x (encoded levels * e)]
-    hidden = ad.relu(ad.add(ad.matmul(stacked, params["head.w1"]), params["head.b1"]))
-    hidden = ad.dropout(hidden, cfg.dropout_rate, rng)
-    logits = ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
-    probs = ad.softmax_rows(logits)
+    keep = _keep_mask((len(stacked.data), cfg.hidden_size), cfg, rng)
+    probs = ad.softmax_rows(_mlp2(stacked, params, "head.", keep, cfg.dropout_rate))
     _check_finite(probs, "class probabilities")
 
     if single:  # drop the batch axis of one again

@@ -79,27 +79,33 @@ def adamw_step(params, state: OptimizerState, cfg: TrainConfig):
     """One optimizer step over all parameters, reading grads from `.grad`.
 
     Moments use bias correction; weight decay is decoupled from the adaptive
-    update. A non-finite gradient refuses the step before any block, moment
-    or the step count changes, naming the first such parameter.
+    update. A step refused for a non-finite gradient or new value changes no
+    block, moment or step count, and names the first bad block.
     """
-    for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise TrainingError(f"step aborted: non-finite gradient in parameter {name!r}")
-    state.step += 1
+    step = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+
+    def stepped(name, p):  # the block's new first and second moments and value
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m = b1 * state.m[name] + (1 - b1) * g
+        v = b2 * state.v[name] + (1 - b2) * g * g
+        update = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         update += cfg.learning_rate * cfg.weight_decay * p.data
-        p.data = p.data - update
-        if not np.isfinite(p.data).all():
-            raise TrainingError(f"parameter {name!r} became non-finite after update")
+        return m, v, p.data - update
+
+    held = {}  # the checked values of small blocks; large ones are stepped again, not held
+    with np.errstate(all="ignore"):  # non-finite values are what this pass looks for
+        for name, p in params.items():
+            new = stepped(name, p)
+            if not np.isfinite(new[2]).all():  # as it always is for a non-finite gradient
+                raise TrainingError(f"step aborted: non-finite gradient or update in {name!r}")
+            if p.data.size < 4096:
+                held[name] = new
+    state.step = step
+    for name, p in params.items():
+        state.m[name], state.v[name], p.data = held.get(name) or stepped(name, p)
 
 
 def mixup_batch(series_batch, targets: BatchTargets, mixup_alpha, rng):

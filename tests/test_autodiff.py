@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mlcgcn import autodiff as ad
 from mlcgcn.autodiff import Tensor
 from mlcgcn.errors import ConfigError, ContractError, OracleError, ShapeError
-from mlcgcn.model import _window_counts
+from mlcgcn.model import ModelConfig, _keep_mask, _window_counts
 
 
 def tensor(data, grad=True):
@@ -158,47 +158,29 @@ def test_layer_norm_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# dropout
+# dropout: the bool hidden-unit mask `ad.mlp2` applies, drawn by the model
 
 
 def test_dropout_rate_zero_identity():
-    x = Tensor(np.arange(5.0))
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+    x = Tensor(_rand((3, 4), 1))
+    keep_all = np.ones((3, 5), dtype=bool)
+    assert ad.mlp2(x, *_MLP2, keep_all, 0.0).data.tobytes() == ad.mlp2(x, *_MLP2).data.tobytes()
 
 
 def test_dropout_inference_identity():
-    x = Tensor(np.arange(5.0))
-    assert ad.dropout(x, 0.9) is x
-
-
-def test_dropout_rate_out_of_range():
-    with pytest.raises(ConfigError):
-        ad.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
+    x = Tensor(_rand((3, 4), 2))
+    assert ad.mlp2(x, *_MLP2, None, 0.9).data.tobytes() == ad.mlp2(x, *_MLP2).data.tobytes()
 
 
 def test_dropout_statistics():
-    rng = np.random.default_rng(6)
-    x = Tensor(np.ones(100_000))
-    out = ad.dropout(x, 0.5, rng)
-    kept = np.count_nonzero(out.data) / x.data.size
-    assert abs(kept - 0.5) < 0.01
-    assert abs(out.data.mean() - 1.0) < 0.02  # survivor scaling preserves the mean
-
-
-def test_dropout_is_a_mask_product_bit_for_bit():
-    rate, shape = 0.4, (5, 6)
-    rng = np.random.default_rng(11)
-    x = tensor(rng.normal(size=shape))
-    g = rng.normal(size=shape)
-    keep = np.random.default_rng(3).random(shape) >= rate
-    s = 1.0 / (1.0 - rate)
-    with ad.recording() as tape:
-        out = ad.dropout(x, rate, np.random.default_rng(3))
-        assert len(tape.records) == 1
-        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-    # compared as raw bits, so the signed zeros of dropped negatives count too
-    np.testing.assert_array_equal(out.data.view(np.uint64), (x.data * keep * s).view(np.uint64))
-    np.testing.assert_array_equal(x.grad.view(np.uint64), (g * keep * s).view(np.uint64))
+    # One hidden unit that passes x = 1 through: the output is the mask's scaled value.
+    cfg = ModelConfig(series_len=8, classes=2, n_rois=4, embed_len=4, dropout_rate=0.5)
+    keep = _keep_mask((100_000, 1), cfg, np.random.default_rng(6))
+    out = ad.mlp2(Tensor(np.ones((100_000, 1))), Tensor([[1.0]]), Tensor([0.0]),
+                  Tensor([[1.0]]), Tensor([0.0]), keep, cfg.dropout_rate).data
+    assert abs(np.count_nonzero(out) / out.size - 0.5) < 0.01
+    assert abs(out.mean() - 1.0) < 0.02  # survivor scaling preserves the mean
+    np.testing.assert_array_equal(np.unique(out), [0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +282,9 @@ def test_no_recording_outside_tape():
 
 def test_deterministic_forward_given_seed():
     def run():
-        rng = np.random.default_rng(42)
+        keep = np.random.default_rng(42).random((3, 5)) >= 0.3
         x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4))
-        out = ad.dropout(ad.softmax_rows(x), 0.3, rng)
+        out = ad.mlp2(ad.softmax_rows(x), *_MLP2, keep, 0.3)
         return out.data.copy()
 
     np.testing.assert_array_equal(run(), run())
@@ -379,6 +361,18 @@ def _tfe_blocks(l, seed):
 _TFE = _tfe_blocks(5, 90)
 _MLP2_SHAPES = [(4, 5), (5,), (5, 4), (4,)]
 _MLP2 = [Tensor(_rand(shape, 95 + i)) for i, shape in enumerate(_MLP2_SHAPES)]
+_MLP2_KEEP = np.random.default_rng(62).random((3, 5)) >= 0.3  # a hidden-unit mask for [3 x 4] input
+
+
+def _masked_mlp2(i):
+    """ad.mlp2 on [3 x 4] input with the hidden-unit mask _MLP2_KEEP, as a
+    function of its i-th tensor input (x, w1, b1, w2, b2)."""
+    def op(p):
+        inputs = [Tensor(_rand((3, 4), 63)), *_MLP2]
+        inputs[i] = p
+        return ad.mlp2(*inputs, _MLP2_KEEP, 0.3)
+    return op
+
 # gcn2 on a batch of two 3-node graphs with 4 features, 5 then 2 hidden units.
 _GCN2_SHAPES = [(2, 3, 3), (2, 3, 4), (4, 5), (5, 2)]
 _GCN2 = [Tensor(_rand(shape, 100 + i)) for i, shape in enumerate(_GCN2_SHAPES)]
@@ -410,9 +404,8 @@ OP_CASES = [
     ("gcn2_w0", lambda p: ad.gcn2(*_GCN2[:2], p, _GCN2[3]), (4, 5)),
     ("gcn2_w1", lambda p: ad.gcn2(*_GCN2[:3], p), (5, 2)),
     ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
-    # rebuilding the rng per call keeps the dropout mask fixed across the
-    # repeated evaluations the finite-difference oracle performs
-    ("dropout", lambda p: ad.dropout(p, 0.3, np.random.default_rng(7)), (3, 4)),
+    *((f"mlp2_masked_{name}", _masked_mlp2(i), shape)
+      for i, (name, shape) in enumerate(zip(("x", "w1", "b1", "w2", "b2"), [(3, 4), *_MLP2_SHAPES]))),
 ]
 
 
@@ -445,7 +438,7 @@ POLICY_CASES = [
     ),
     ("mlp2", ad.mlp2, [(3, 4), *_MLP2_SHAPES]),
     ("gcn2", ad.gcn2, _GCN2_SHAPES),
-    ("dropout", lambda x: ad.dropout(x, 0.3, np.random.default_rng(5)), [(3, 4)]),
+    ("mlp2_masked", lambda *t: ad.mlp2(*t, _MLP2_KEEP, 0.3), [(3, 4), *_MLP2_SHAPES]),
 ]
 
 

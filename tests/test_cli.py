@@ -335,6 +335,42 @@ def test_eval_mismatched_manifest_refused(trained_dir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "n_rois" in err
+    assert str(trained_dir / "fold0.ckpt") in err and str(other / "manifest.json") in err
+
+
+def _synth_with(out, **changes):
+    """Synthesize SYNTH_ARGS with the `synth.<key>` settings in `changes` replaced."""
+    args = []
+    for arg in SYNTH_ARGS:
+        key = arg.partition("=")[0].removeprefix("synth.")
+        args.append(f"synth.{key}={changes[key]}" if key in changes else arg)
+    assert main(["synth", "--out", str(out), *args]) == 0
+    return out / "manifest.json"
+
+
+def test_export_refuses_another_geometry_before_reading_any_scan(trained_dir, tmp_path, capsys,
+                                                                  monkeypatch):
+    manifest = _synth_with(tmp_path / "other", n_rois=6, series_len=12)
+
+    def no_scans(*args, **kwargs):
+        raise AssertionError("a scan was read before the geometry check")
+
+    monkeypatch.setattr(cli, "load_dataset", no_scans)
+    rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(manifest), "--out", str(tmp_path / "exp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_rois: checkpoint 8 vs manifest 6; series_len: checkpoint 30 vs manifest 12" in err
+    assert str(trained_dir / "fold0.ckpt") in err and str(manifest) in err
+
+
+def test_export_reads_a_manifest_with_another_class_count(trained_dir, tmp_path):
+    # export never reads the class count, so only n_rois and series_len must fit.
+    manifest = _synth_with(tmp_path / "two", classes=2)
+    rc = main(["export", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(manifest), "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    assert (tmp_path / "exp" / "node_importance.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_config_rejects_non_positive_sizes(name, value):
         tiny_config(**{name: value})
 
 
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+def test_config_rejects_dropout_rate_outside_zero_to_one(rate):
+    with pytest.raises(ConfigError, match=r"dropout_rate must be in \[0, 1\)"):
+        tiny_config(dropout_rate=rate)
+
+
 def test_config_rejects_bad_level_subset():
     with pytest.raises(ConfigError):
         tiny_config(level_subset=(0, 5))
@@ -282,10 +288,26 @@ def _bmm(a, b):
     return ad._op(np.matmul(a.data, b.data), (a, b), pull)
 
 
-def _composed_mlp2(x, params, prefix):
-    """The ReLU two-layer perceptron as composed taped ops: the reference for `ad.mlp2`."""
+def _dropout(x, keep, rate):
+    """Dropout by the bool mask `keep` as one taped op, survivors scaled by
+    1/(1-rate); the identity without a mask. The reference for the masks
+    inside the kernels."""
+    if keep is None:
+        return x
+    scale = 1.0 / (1.0 - rate)
+
+    def pull(g, acc):
+        acc(x, g * keep * scale)
+
+    return ad._op(x.data * keep * scale, (x,), pull)
+
+
+def _composed_mlp2(x, params, prefix, keep=None, rate=0.0):
+    """The ReLU two-layer perceptron as composed taped ops, its hidden units
+    dropped by `keep`: the reference for `ad.mlp2`."""
     dense = model_module._dense
     hidden = ad.relu(ad.add(dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
+    hidden = _dropout(hidden, keep, rate)
     return ad.add(dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
@@ -309,12 +331,13 @@ def _composed_sfe(h_in, params, cfg, level, rng=None):
     """The spatial pathway as composed taped ops, one record per op."""
     p = f"stfe{level}.sfe."
     x = ad.transpose(h_in)
+    rate = cfg.dropout_rate
+    keep = [None if rng is None else rng.random(x.data.shape) >= rate for _ in range(2)]
     attn_in = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
-    attn = ad.dropout(_composed_attention(attn_in, params, p, cfg.attention_heads),
-                      cfg.dropout_rate, rng)
+    attn = _dropout(_composed_attention(attn_in, params, p, cfg.attention_heads), keep[0], rate)
     x = ad.add(x, attn)
     ffn_in = _layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.shift"])
-    ffn = ad.dropout(_composed_mlp2(ffn_in, params, p + "ffn."), cfg.dropout_rate, rng)
+    ffn = _dropout(_composed_mlp2(ffn_in, params, p + "ffn."), keep[1], rate)
     x = ad.add(x, ffn)
     x = _layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
     return ad.transpose(x)
@@ -428,6 +451,29 @@ def test_mlp2_kernel_matches_the_composed_ops(cfg):
     assert len(grads) == 5
     for name, ref in ref_grads.items():
         assert _rel(grads[name], ref) <= 1e-12, name
+
+
+def test_masked_mlp2_matches_the_composed_ops_bit_for_bit(cfg):
+    # The head's shape, [B x d] input; compared as bytes, so signed zeros
+    # count too. Hidden unit 0 is dropped in every row, so it learns nothing.
+    rng = derive_rng(44, "mlp2-mask")
+    blocks = {name: Tensor(t.data, requires_grad=True)
+              for name, t in init_params(cfg, derive_rng(45, "init")).items()
+              if name.startswith("head.")}
+    x = rng.normal(size=(16, blocks["head.w1"].data.shape[0]))
+    upstream = rng.normal(size=(16, cfg.classes))
+    keep = rng.random((16, cfg.hidden_size)) >= 0.4
+    keep[:, 0] = False
+    (out, grads), (ref_out, ref_grads) = (
+        _value_and_grads(lambda h, b, _f=forward: _f(h, b, "head.", keep, 0.4), x, blocks, upstream)
+        for forward in (model_module._mlp2, _composed_mlp2)
+    )
+    assert out.tobytes() == ref_out.tobytes()
+    assert len(grads) == 5
+    for name, ref in ref_grads.items():
+        assert grads[name].tobytes() == ref.tobytes(), name
+    assert grads["head.b1"][0] == 0.0 and not grads["head.w1"][:, 0].any()
+    assert grads["head.b1"][1:].all()
 
 
 def test_tfe_is_one_tape_record(cfg, params):
@@ -831,6 +877,36 @@ def test_predict_probability_contract(cfg, params, x):
     assert len(levels.embeddings) == cfg.levels + 1
     assert len(levels.adjacencies) == cfg.levels
     assert all(e.data.shape == (cfg.readout_dim,) for e in levels.embeddings)
+
+
+@pytest.mark.filterwarnings("ignore:level 1:")  # the tiny level-1 graph has zero-norm rows
+def test_head_is_concat_one_mlp2_record_and_softmax(cfg, params):
+    series = derive_rng(52, "series").normal(size=(3, cfg.n_rois, cfg.series_len))
+    with ad.recording() as tape:
+        predict(Tensor(series), params, cfg, rng=derive_rng(48, "dropout"))
+    ops = [pull.__qualname__.split(".")[0] for _, _, pull in tape.records]
+    assert ops[-3:] == ["concat", "mlp2", "softmax_rows"]
+    assert ops.count("mlp2") == cfg.levels + 1  # one fuse per level, and the head
+
+
+@pytest.mark.filterwarnings("ignore:level 1:")  # the tiny level-1 graph has zero-norm rows
+def test_predict_draws_the_sfe_masks_then_one_head_mask(cfg, params):
+    series = derive_rng(52, "series").normal(size=(3, cfg.n_rois, cfg.series_len))
+    used, expected = derive_rng(50, "dropout"), derive_rng(50, "dropout")
+    predict(Tensor(series), params, cfg, rng=used)
+    for _ in range(2 * cfg.levels):
+        expected.random((3, cfg.embed_len, cfg.n_rois))
+    expected.random((3, cfg.hidden_size))
+    assert used.bit_generator.state == expected.bit_generator.state
+
+
+def test_predict_at_rate_zero_with_an_rng_is_the_rng_free_predict(params, x):
+    cfg = tiny_config(dropout_rate=0.0)
+    rng = derive_rng(51, "dropout")
+    before = rng.bit_generator.state
+    assert predict(x, params, cfg, rng=rng)[0].data.tobytes() == predict(x, params, cfg)[0].data.tobytes()
+    assert rng.bit_generator.state == before
+    assert model_module._keep_mask((3, 4), tiny_config(), None) is None
 
 
 def test_predict_deterministic_in_inference_mode(cfg, params, x):

@@ -115,6 +115,21 @@ def test_adamw_refused_step_changes_nothing():
     assert state.step == 0
 
 
+def test_adamw_step_refused_for_a_non_finite_result_changes_nothing():
+    # Every gradient is finite, but b's update takes it to nan (inf - inf).
+    params = {"a": Tensor(np.array([1.0]), requires_grad=True),
+              "b": Tensor(np.array([np.inf]), requires_grad=True)}
+    for p in params.values():
+        p.grad = np.array([0.5])
+    state = OptimizerState.for_params(params)
+    before = {name: p.data.tobytes() for name, p in params.items()}
+    with pytest.raises(TrainingError, match="non-finite gradient or update in 'b'"):
+        adamw_step(params, state, TrainConfig())
+    assert {name: p.data.tobytes() for name, p in params.items()} == before
+    assert all(not state.m[name].any() and not state.v[name].any() for name in params)
+    assert state.step == 0
+
+
 # ---------------------------------------------------------------------------
 # mixup
 
