@@ -254,16 +254,6 @@ def sum_all(x):
     return _op(x.data.sum(), (x,), pull)
 
 
-def mean_axis(x, axis):
-    x = _as_tensor(x)
-
-    def pull(g, acc):
-        shape = x.data.shape
-        acc(x, np.broadcast_to(np.expand_dims(g, axis) / shape[axis], shape))
-
-    return _op(x.data.mean(axis=axis), (x,), pull)
-
-
 # ---------------------------------------------------------------------------
 # neural-network kernels
 
@@ -310,9 +300,11 @@ def _mlp2_forward(x, w1, b1, w2, b2, keep=None, rate=0.0):
     return hid, _dense(hid, w2) + b2
 
 
-def _mlp2_pull(g, x, hid, w1, w2, keep=None, rate=0.0):
-    """Adjoints of x, w1, b1, w2 and b2 for `_mlp2_forward`."""
-    dpre = _drop(_dense(g, w2.T), keep, rate) * (hid > 0.0)
+def _mlp2_pull(g, x, hid, w1, w2, scale=None):
+    """Adjoints of x, w1, b1, w2 and b2 for `_mlp2_forward`; `scale` is its dropout's 1/(1-rate)."""
+    dhid = _dense(g, w2.T)
+    # A dropped unit's hidden activation is 0, so the ReLU mask zeroes it too.
+    dpre = (dhid if scale is None else dhid * scale) * (hid > 0.0)
     return (_dense(dpre, w1.T), _wgrad(x, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
             _wgrad(hid, g), g.reshape(-1, g.shape[-1]).sum(axis=0))
 
@@ -321,13 +313,14 @@ def mlp2(x, w1, b1, w2, b2, keep=None, rate=0.0):
     """Two-layer perceptron relu(x·w1 + b1)·w2 + b2 over the last axis of
     x [..., d]. `keep` is None (no dropout) or a bool mask of the hidden
     units [..., h]; survivors scale by 1/(1-rate). One record, which keeps
-    the dropped hidden activations and the mask."""
+    the dropped hidden activations and the scale, not the mask."""
     tensors = tuple(_as_tensor(t) for t in (x, w1, b1, w2, b2))
     x, w1, b1, w2, b2 = (t.data for t in tensors)
     hid, out = _mlp2_forward(x, w1, b1, w2, b2, keep, rate)
+    scale = None if keep is None else 1.0 / (1.0 - rate)
 
     def pull(g, acc):
-        for t, grad in zip(tensors, _mlp2_pull(g, x, hid, w1, w2, keep, rate)):
+        for t, grad in zip(tensors, _mlp2_pull(g, x, hid, w1, w2, scale)):
             acc(t, grad)
 
     return _op(out, tensors, pull)
@@ -517,9 +510,10 @@ def _graph_conv_pull(g, out, adj, y, acc):
 def gcn2(adj, x, w0, w1):
     """Two graph-convolution layers over node features x [..., n x d] and a
     graph adj [..., n x n] with x's leading axes: h1 = relu(adj·(x·w0) + x·w0),
-    then relu(adj·(h1·w1) + h1·w1). One record, which keeps x·w0, h1 and
-    h1·w1; its pull takes each layer's ReLU mask from that layer's output and
-    pushes the graph's adjoint for the second layer before the first.
+    then h2 = relu(adj·(h1·w1) + h1·w1), and the mean of h2's rows [..., e].
+    One record, which keeps x·w0, h1, h1·w1 and h2; its pull spreads the
+    pooled adjoint evenly over the nodes, takes each layer's ReLU mask from
+    that layer's output and pushes the graph's adjoint for the second layer first.
     """
     tensors = tuple(_as_tensor(t) for t in (adj, x, w0, w1))
     adj, x, w0, w1 = tensors
@@ -533,19 +527,21 @@ def gcn2(adj, x, w0, w1):
     y0, h1 = _graph_conv(adj.data, x.data, w0.data)
     if not taped:
         del y0
-    y1, out = _graph_conv(adj.data, h1, w1.data)
+    y1, h2 = _graph_conv(adj.data, h1, w1.data)
+    pooled = h2.mean(axis=-2)
     if not taped:
-        del h1, y1
+        del h1, y1, h2
 
     def pull(g, acc):
-        gy1 = _graph_conv_pull(g, out, adj, y1, acc)
+        g = np.broadcast_to(np.expand_dims(g, -2) / h2.shape[-2], h2.shape)
+        gy1 = _graph_conv_pull(g, h2, adj, y1, acc)
         acc(w1, _wgrad(h1, gy1))
         gy0 = _graph_conv_pull(_dense(gy1, w1.data.T), h1, adj, y0, acc)
         if x.requires_grad:
             acc(x, _dense(gy0, w0.data.T))
         acc(w0, _wgrad(x.data, gy0))
 
-    return _op(out, tensors, pull)
+    return _op(pooled, tensors, pull)
 
 
 def cosine_graph(x, site):

@@ -15,6 +15,7 @@ cannot be written included). Logs go to stderr, data to files and stdout.
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 import time
@@ -67,6 +68,13 @@ def _bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):  # NaN would pass every range check, as it compares false
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _level_subset(text):
     low = str(text).strip().lower()
     if low in ("", "all", "none"):
@@ -74,7 +82,7 @@ def _level_subset(text):
     return tuple(int(v) for v in low.split("+"))
 
 
-_PARSERS = {int: int, float: float, bool: _bool, Optional[tuple]: _level_subset}
+_PARSERS = {int: int, float: _finite_float, bool: _bool, Optional[tuple]: _level_subset}
 _KNOWN_KEYS = {
     f"{scope}.{f.name}": _PARSERS[f.type]
     for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec))

@@ -215,7 +215,11 @@ def load_manifest(path) -> DatasetManifest:
             and len(set(classes)) == len(classes)):
         raise DataError(f"manifest {path}: classes must be a list of distinct strings, got {classes!r}")
     seen = set()
-    for rec in scans:
+    for i, rec in enumerate(scans):
+        for name, value in vars(rec).items():
+            if not isinstance(value, str):
+                raise DataError(f"manifest {path}: scan {i} field {name!r} must be a string, "
+                                f"got {value!r}")
         if rec.id in seen:
             raise DataError(f"manifest {path}: duplicate scan id {rec.id!r}")
         seen.add(rec.id)

@@ -182,8 +182,8 @@ def init_params(cfg: ModelConfig, rng) -> dict:
 # ---------------------------------------------------------------------------
 # forward operations
 #
-# Every function below takes per-scan tensors with optional leading batch
-# axes, [..., n x L] or [..., n x l]; shape checks compare the last two axes.
+# Every function below but `readout` takes per-scan tensors with optional leading
+# batch axes, [..., n x L] or [..., n x l]; shape checks compare the last two axes.
 
 
 def pearson_connectome(x) -> Tensor:
@@ -205,12 +205,6 @@ def generate_adjacency(h_level: Tensor, level) -> Tensor:
     """Cosine-similarity graph [..., n x n] of level `level`'s feature rows: one
     `ad.cosine_graph` record, whose zero-norm-row warning names the level."""
     return ad.cosine_graph(h_level, f"level {level}")
-
-
-def _dense(x, w):
-    """x [..., d] @ w [d x e]: the leading axes fold into the rows of one matmul."""
-    out = ad.matmul(ad.reshape(x, (-1, x.data.shape[-1])), w)
-    return ad.reshape(out, (*x.data.shape[:-1], w.data.shape[1]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,8 +241,8 @@ def embed(x, params, cfg: ModelConfig) -> Tensor:
     per_position = ad.reshape(ad.matmul(ad.reshape(params["embed.bias"], (1, m)), w), (L, l))
     c = ad.matmul(Tensor(np.ones((1, L))), per_position)  # the sum over positions
     pad = (t - 1) // 2
-    padded = Tensor(np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)]))
-    z = ad.relu(ad.add(_dense(padded, v), c))
+    rows = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)]).reshape(-1, L + t - 1)
+    z = ad.relu(ad.add(ad.reshape(ad.matmul(Tensor(rows), v), (*x.data.shape[:-1], l)), c))
     if cfg.use_positional_encoding:
         z = ad.add(z, positional_encoding(n, l))
     return z
@@ -324,13 +318,13 @@ def stfe_forward(h_in, level, params, cfg: ModelConfig, rng=None):
 
 
 def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
-    """Two graph-convolution layers with added self-connections, as one
-    `ad.gcn2` record.
+    """Two graph-convolution layers with added self-connections, then the
+    mean over the nodes: the pooled features [..., g], as one `ad.gcn2` record.
 
     Each layer is relu((A + I) h W) with no degree normalization, computed
     as A (h W) + h W so the n x n product meets the narrow h W and no
     identity matrix is built; node features start from the Pearson matrix.
-    The record keeps each layer's h W and the first layer's output.
+    The record keeps each layer's h W and output; a tape-free forward does not.
     """
     n = cfg.n_rois
     if adj.data.shape[-2:] != (n, n):
@@ -338,10 +332,9 @@ def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
     return ad.gcn2(adj, node_feats, params[f"gcn{level}.w0"], params[f"gcn{level}.w1"])
 
 
-def readout(gcn_out, params, cfg: ModelConfig, level):
-    """Mean-pool node encodings [..., n x h] into one [..., e] embedding per level."""
-    pooled = ad.mean_axis(gcn_out, axis=-2)
-    return ad.relu(ad.add(_dense(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
+def readout(pooled, params, cfg: ModelConfig, level):
+    """One level's embedding [B x e] of its pooled GCN rows [B x g]: relu(pooled·W + b)."""
+    return ad.relu(ad.add(ad.matmul(pooled, params[f"readout{level}.w"]), params[f"readout{level}.b"]))
 
 
 def _check_finite(tensor, what):
@@ -374,11 +367,9 @@ def predict(x, params, cfg: ModelConfig, rng=None):
         _check_finite(h, f"features at level {level}")
         adjacencies.append(generate_adjacency(h, level))  # finite, as h is: entries lie in [-1, 1]
 
-    embeddings = []
-    for k in cfg.gcn_levels:
-        graph = pearson if k == 0 else adjacencies[k - 1]
-        encoded = gcn_forward(graph, pearson, params, cfg, k)
-        embeddings.append(readout(encoded, params, cfg, k))
+    graphs = [pearson, *adjacencies]  # graphs[k] is level k's graph
+    embeddings = [readout(gcn_forward(graphs[k], pearson, params, cfg, k), params, cfg, k)
+                  for k in cfg.gcn_levels]
 
     stacked = ad.concat(embeddings, axis=-1)  # [B x (encoded levels * e)]
     keep = _keep_mask((len(stacked.data), cfg.hidden_size), cfg, rng)

@@ -170,6 +170,24 @@ def test_config_key_outside_the_subcommand_scopes_rejected(tmp_path, capsys, arg
     assert f"config key {key.split('=')[0]!r} does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,source,key,value", [
+    (["synth"], "--set", "synth.strength", "nan"),
+    (["synth"], "--config", "synth.noise", "inf"),
+    (["train", "--manifest", "m.json"], "--set", "train.mixup_alpha", "nan"),
+    (["train", "--manifest", "m.json"], "--set", "train.learning_rate", "-inf"),
+    (["train", "--manifest", "m.json"], "--config", "train.weight_decay", "Infinity"),
+    (["ablate", "--manifest", "m.json"], "--set", "model.dropout_rate", "NaN"),
+    (["ablate", "--manifest", "m.json"], "--variant", "train.alpha", "nan"),
+])
+def test_non_finite_float_value_rejected_naming_the_key(tmp_path, capsys, argv, source, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    extra = {"--set": f"{key}={value}", "--config": str(config), "--variant": f"v:{key}={value}"}
+    assert main([*argv, "--out", str(tmp_path / "x"), source, extra[source]]) == 2
+    assert f"config key {key}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("key", ["model.gcn_layers", "model.normalize_adjacency",
                                  "model.readout_mode"])
 def test_removed_model_keys_rejected(tmp_path, capsys, key):

@@ -157,6 +157,18 @@ def test_manifest_malformed_geometry_names_the_field(tmp_path, name, value):
         load_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("id", 7), ("id", ["a"]), ("subject", None), ("label", 0), ("path", 5), ("path", {"a": 1}),
+])
+def test_manifest_scan_field_of_another_type_names_the_scan_and_field(tmp_path, name, value):
+    manifest_path, _ = _write_tiny_dataset(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    doc["scans"][1][name] = value
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"scan 1 field '{name}' must be a string"):
+        load_manifest(manifest_path)
+
+
 def test_dataset_missing_file_names_scan(tmp_path):
     manifest_path, _ = _write_tiny_dataset(tmp_path)
     victim = next((tmp_path / "data" / "series").iterdir())

@@ -288,6 +288,25 @@ def _bmm(a, b):
     return ad._op(np.matmul(a.data, b.data), (a, b), pull)
 
 
+def _dense(x, w):
+    """x [..., d] @ w [d x e] as taped ops: the leading axes fold into the
+    rows of one matmul. The reference for the shared-weight products inside
+    the kernels."""
+    out = ad.matmul(ad.reshape(x, (-1, x.data.shape[-1])), w)
+    return ad.reshape(out, (*x.data.shape[:-1], w.data.shape[1]))
+
+
+def _mean_nodes(h):
+    """Mean over the node axis of h [..., n x g] as one taped op: the
+    reference for the pooling inside `ad.gcn2`."""
+
+    def pull(g, acc):
+        shape = h.data.shape
+        acc(h, np.broadcast_to(np.expand_dims(g, -2) / shape[-2], shape))
+
+    return ad._op(h.data.mean(axis=-2), (h,), pull)
+
+
 def _dropout(x, keep, rate):
     """Dropout by the bool mask `keep` as one taped op, survivors scaled by
     1/(1-rate); the identity without a mask. The reference for the masks
@@ -305,10 +324,9 @@ def _dropout(x, keep, rate):
 def _composed_mlp2(x, params, prefix, keep=None, rate=0.0):
     """The ReLU two-layer perceptron as composed taped ops, its hidden units
     dropped by `keep`: the reference for `ad.mlp2`."""
-    dense = model_module._dense
-    hidden = ad.relu(ad.add(dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
+    hidden = ad.relu(ad.add(_dense(x, params[prefix + "w1"]), params[prefix + "b1"]))
     hidden = _dropout(hidden, keep, rate)
-    return ad.add(dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
+    return ad.add(_dense(hidden, params[prefix + "w2"]), params[prefix + "b2"])
 
 
 def _composed_attention(x, params, prefix, heads):
@@ -317,14 +335,14 @@ def _composed_attention(x, params, prefix, heads):
     d = d_model // heads
 
     def split(name):  # [..., heads, d, tokens]
-        projected = ad.transpose(model_module._dense(x, params[prefix + name]))
+        projected = ad.transpose(_dense(x, params[prefix + name]))
         return ad.reshape(projected, (*lead, heads, d, tokens))
 
     q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
     scores = ad.mul(_bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
     attn = ad.softmax_rows(scores)
     merged_t = ad.reshape(_bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
-    return model_module._dense(ad.transpose(merged_t), params[prefix + "wo"])
+    return _dense(ad.transpose(merged_t), params[prefix + "wo"])
 
 
 def _composed_sfe(h_in, params, cfg, level, rng=None):
@@ -346,12 +364,11 @@ def _composed_sfe(h_in, params, cfg, level, rng=None):
 def _composed_tfe(h_in, params, cfg, level):
     """The temporal pathway as composed taped ops, one record per op."""
     p = f"stfe{level}.tfe."
-    dense = model_module._dense
     counts = Tensor(model_module._window_counts(cfg.embed_len, cfg.kernel_size))
-    trend = ad.mul(dense(h_in, counts), Tensor(1.0 / cfg.kernel_size))
+    trend = ad.mul(_dense(h_in, counts), Tensor(1.0 / cfg.kernel_size))
     seasonal = ad.add(h_in, ad.mul(trend, Tensor(-1.0)))
-    mixed = ad.add(ad.relu(dense(trend, params[p + "wt"])),
-                   ad.relu(dense(seasonal, params[p + "ws"])))
+    mixed = ad.add(ad.relu(_dense(trend, params[p + "wt"])),
+                   ad.relu(_dense(seasonal, params[p + "ws"])))
     out = _composed_mlp2(mixed, params, p + "mlp.")
     return _layer_norm(out, params[p + "norm.gain"], params[p + "norm.shift"])
 
@@ -524,7 +541,7 @@ def test_tape_free_kernel_peak_is_no_higher_than_the_composed_ops(pathway):
     blocks = _level_blocks(cfg, 37, pathway)
     kernel, composed = {"sfe": (sfe_forward, _composed_sfe),
                         "tfe": (tfe_forward, _composed_tfe),
-                        "gcn": (gcn_forward, _composed_gcn)}[pathway]
+                        "gcn": (gcn_forward, _composed_pooled_gcn)}[pathway]
     if pathway == "gcn":  # node features [8 x n x n] on a constant graph
         graph = Tensor(rng.normal(size=(8, cfg.n_rois, cfg.n_rois)))
         h = Tensor(rng.normal(size=graph.shape))
@@ -711,9 +728,9 @@ def test_gcn_zero_adjacency_reduces_to_self_connections(cfg, params):
     f = Tensor(rng.normal(size=(6, 6)))
     out = gcn_forward(Tensor(np.zeros((6, 6))), f, params, cfg, level=0)
     first = ad.relu(ad.matmul(f, params["gcn0.w0"]))
-    expected = ad.relu(ad.matmul(first, params["gcn0.w1"]))
-    np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
-    assert out.data.shape == (6, cfg.gcn_hidden)
+    expected = ad.relu(ad.matmul(first, params["gcn0.w1"])).data.mean(axis=0)
+    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    assert out.data.shape == (cfg.gcn_hidden,)
 
 
 @pytest.mark.parametrize("level", [0, 1], ids=["pearson", "generated"])
@@ -726,8 +743,10 @@ def test_gcn_matches_dense_reference_on_a_batch(cfg, params, level):
     assert np.abs(graph.data[:, ~np.eye(n, dtype=bool)]).min() > 0  # no zero edge
     a_hat = graph.data + np.eye(n)
     w0, w1 = params[f"gcn{level}.w0"].data, params[f"gcn{level}.w1"].data
-    expected = np.maximum(a_hat @ np.maximum(a_hat @ pearson.data @ w0, 0.0) @ w1, 0.0)
+    nodes = np.maximum(a_hat @ np.maximum(a_hat @ pearson.data @ w0, 0.0) @ w1, 0.0)
+    expected = nodes.mean(axis=1)
     out = gcn_forward(graph, pearson, params, cfg, level).data
+    assert out.shape == (3, cfg.gcn_hidden)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -750,13 +769,18 @@ def test_gcn_weight_gradients():
 
 
 def _composed_gcn(adj, node_feats, params, cfg, level):
-    """The two GCN layers as composed taped ops, one record per op: the
-    reference for `ad.gcn2`."""
+    """The two GCN layers as composed taped ops, one record per op: the node
+    encodings [..., n x g]."""
     h = node_feats
     for name in ("w0", "w1"):
-        y = model_module._dense(h, params[f"gcn{level}.{name}"])
+        y = _dense(h, params[f"gcn{level}.{name}"])
         h = ad.relu(ad.add(_bmm(adj, y), y))
     return h
+
+
+def _composed_pooled_gcn(adj, node_feats, params, cfg, level):
+    """`_composed_gcn` followed by the node mean: the reference for `ad.gcn2`."""
+    return _mean_nodes(_composed_gcn(adj, node_feats, params, cfg, level))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "batch1", "batch3"])
@@ -768,12 +792,12 @@ def test_gcn_kernel_matches_the_composed_ops_bit_for_bit(lead):
     rng = derive_rng(40, "gcn-kernel")
     graph = generate_adjacency(Tensor(rng.normal(size=(*lead, n, 4))), 1).data
     feats = rng.normal(size=(*lead, n, n))
-    upstream = rng.normal(size=(*lead, n, cfg.gcn_hidden))
+    upstream = rng.normal(size=(*lead, cfg.gcn_hidden))
     samples = len(graph)  # class_spread's rows: the scans, or one graph's rows
     mean_of, weight = rng.random((samples, samples)), rng.random((samples, 1))
     blocks = _level_blocks(cfg, 41, "gcn")
     runs = []
-    for forward in (gcn_forward, _composed_gcn):
+    for forward in (gcn_forward, _composed_pooled_gcn):
         leaves = {"adj": Tensor(graph, requires_grad=True), "feats": Tensor(feats, requires_grad=True),
                   **{name: Tensor(t.data, requires_grad=True) for name, t in blocks.items()}}
         with ad.recording():
@@ -782,7 +806,9 @@ def test_gcn_kernel_matches_the_composed_ops_bit_for_bit(lead):
                                ad.class_spread(leaves["adj"], mean_of, weight)))
         runs.append((out.data, {name: t.grad for name, t in leaves.items()}))
     (out, grads), (ref_out, ref_grads) = runs
-    assert 0.0 < (out == 0.0).mean() < 1.0  # the ReLU both passes and blocks
+    assert out.shape == (*lead, cfg.gcn_hidden)
+    nodes = _composed_gcn(Tensor(graph), Tensor(feats), blocks, cfg, 1).data
+    assert 0.0 < (nodes == 0.0).mean() < 1.0  # the ReLU both passes and blocks
     assert out.tobytes() == ref_out.tobytes()
     assert len(grads) == 4
     for name, ref in ref_grads.items():
@@ -831,26 +857,35 @@ def test_taped_gcn_record_keeps_at_most_half_the_composed_bytes(cfg, params):
     feats = Tensor(rng.normal(size=(3, 6, 6)))
     inputs = (adj, feats, params["gcn1.w0"], params["gcn1.w1"])
     kept = []
-    for forward in (_composed_gcn, gcn_forward):
+    for forward in (_composed_pooled_gcn, gcn_forward):
         with ad.recording() as tape:
-            forward(adj, feats, params, cfg, 1)
-        kept.append(_kept_bytes(tape.records, inputs))
+            out = forward(adj, feats, params, cfg, 1)
+        kept.append(_kept_bytes(tape.records, (*inputs, out)))  # both keep the pooled output
     assert 0 < kept[1] <= kept[0] / 2
 
 
 def test_readout_identical_rows_pool_to_single_row(cfg, params):
-    row = derive_rng(14, "r").normal(size=cfg.gcn_hidden)
-    gcn_out = Tensor(np.tile(row, (6, 1)))
-    pooled = ad.mean_axis(gcn_out, axis=0)
-    np.testing.assert_allclose(pooled.data, row)
-    out = readout(gcn_out, params, cfg, level=0)
-    assert out.data.shape == (cfg.readout_dim,)
+    # On the complete graph every node sums the same n + 1 rows, so all node
+    # rows stay equal, relu((n + 1)·h·W) of the shared row h in each layer,
+    # and their mean is that one row.
+    n = cfg.n_rois
+    row = derive_rng(14, "r").normal(size=n)
+    pooled = gcn_forward(Tensor(np.ones((n, n))), Tensor(np.tile(row, (n, 1))), params, cfg, level=0)
+    first = np.maximum((n + 1) * row @ params["gcn0.w0"].data, 0.0)
+    expected = np.maximum((n + 1) * first @ params["gcn0.w1"].data, 0.0)
+    np.testing.assert_allclose(pooled.data, expected, rtol=1e-12, atol=1e-12)
+    out = readout(ad.reshape(pooled, (1, cfg.gcn_hidden)), params, cfg, level=0)
+    assert out.data.shape == (1, cfg.readout_dim)
 
 
-def test_readout_size_independent_of_nodes(params, cfg):
+def test_readout_size_independent_of_nodes():
     for n in (3, 6, 11):
-        out = readout(Tensor(np.ones((n, cfg.gcn_hidden))), params, cfg, level=1)
-        assert out.data.shape == (cfg.readout_dim,)
+        cfg = tiny_config(n_rois=n, attention_heads=1)
+        params = init_params(cfg, derive_rng(15, "init"))
+        graph = generate_adjacency(Tensor(derive_rng(16, "h", n).normal(size=(2, n, 4))), 1)
+        pooled = gcn_forward(graph, Tensor(np.ones((2, n, n))), params, cfg, level=1)
+        assert pooled.data.shape == (2, cfg.gcn_hidden)
+        assert readout(pooled, params, cfg, level=1).data.shape == (2, cfg.readout_dim)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -859,11 +894,22 @@ def test_readout_permutation_invariance(seed):
     cfg = tiny_config()
     params = init_params(cfg, derive_rng(15, "init"))
     rng = np.random.default_rng(seed)
-    gcn_out = rng.normal(size=(6, cfg.gcn_hidden))
+    graph = generate_adjacency(Tensor(rng.normal(size=(6, 4))), 1).data
+    feats = rng.normal(size=(6, 6))
     perm = rng.permutation(6)
-    a = readout(Tensor(gcn_out), params, cfg, level=0).data
-    b = readout(Tensor(gcn_out[perm]), params, cfg, level=0).data
+    a = gcn_forward(Tensor(graph), Tensor(feats), params, cfg, level=0).data
+    b = gcn_forward(Tensor(graph[np.ix_(perm, perm)]), Tensor(feats[perm]), params, cfg, level=0).data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_encoded_level_is_gcn2_matmul_add_and_clamp(cfg, params):
+    rng = derive_rng(47, "gcn")
+    graph = Tensor(rng.normal(size=(3, 6, 6)), requires_grad=True)
+    with ad.recording() as tape:
+        pooled = gcn_forward(graph, Tensor(rng.normal(size=(3, 6, 6))), params, cfg, level=1)
+        readout(pooled, params, cfg, level=1)
+    ops = [pull.__qualname__.split(".")[0] for _, _, pull in tape.records]
+    assert ops == ["gcn2", "matmul", "add", "clamp"]
 
 
 # ---------------------------------------------------------------------------
