@@ -182,13 +182,16 @@ def _manifest_geometry(manifest):
 
 
 def _check_fits(model, args, names=("n_rois", "series_len", "classes")):
-    """Refuse a checkpoint whose `names` differ from the manifest's before any scan is read."""
-    geometry = _manifest_geometry(load_manifest(args.manifest))
+    """Refuse a checkpoint whose `names` differ from the manifest's before any
+    scan is read; returns the manifest."""
+    manifest = load_manifest(args.manifest)
+    geometry = _manifest_geometry(manifest)
     mismatches = [f"{name}: checkpoint {getattr(model.config, name)} vs manifest {geometry[name]}"
                   for name in names if getattr(model.config, name) != geometry[name]]
     if mismatches:
         raise ConfigError(f"checkpoint {args.checkpoint} does not fit manifest {args.manifest}: "
                           + "; ".join(mismatches))
+    return manifest
 
 
 def _fill_model_defaults(typed, manifest):
@@ -225,12 +228,14 @@ def cmd_synth(args):
 
 def _cv_setup(args):
     """Set-up shared by train and ablate: the dataset, the model and train
-    configs, and the output directory with its snapshot."""
+    configs, and the output directory with its snapshot. Both configs are
+    checked against the manifest before any scan is read."""
     typed = resolve_config(args)
-    samples = load_dataset(args.manifest)
-    typed = _fill_model_defaults(typed, load_manifest(args.manifest))
+    manifest = load_manifest(args.manifest)
+    typed = _fill_model_defaults(typed, manifest)
     model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
+    samples = load_dataset(args.manifest, manifest)
     outdir = _out_dir(args)
     write_snapshot(outdir, args, {"model": model_cfg, "train": train_cfg})
     return samples, model_cfg, train_cfg, outdir
@@ -250,8 +255,7 @@ def cmd_train(args):
 def cmd_eval(args):
     outdir = _out_dir(args)
     model = MLCGCN.load(args.checkpoint)
-    _check_fits(model, args)
-    samples = load_dataset(args.manifest)
+    samples = load_dataset(args.manifest, _check_fits(model, args))
     probs, truth = evaluate_model(model, samples)
     report = compute_metrics(probs, truth)
     write_snapshot(outdir, args)
@@ -339,8 +343,8 @@ def cmd_export(args):
     model = MLCGCN.load(args.checkpoint)
     if level > model.config.levels:
         raise ConfigError(f"level selector {level} outside [1, {model.config.levels}]")
-    _check_fits(model, args, ("n_rois", "series_len"))  # export never reads the class count
-    samples = load_dataset(args.manifest)
+    # export never reads the class count
+    samples = load_dataset(args.manifest, _check_fits(model, args, ("n_rois", "series_len")))
     mean = graph_stats(model, samples, pick).mean()
     write_snapshot(outdir, args)
     for name, fmt in (("mean_graph.csv", "matrix"), ("top_edges.csv", "edge-list"),

@@ -5,8 +5,11 @@ File formats
 Manifest: JSON with fields {classes, n_rois, series_len, scans:[{id, subject,
 label, path}]}; scan paths are relative to the manifest's directory.
 
-Series files: comma-delimited numeric text, one row per ROI, one column per
-time point, written with 17 significant digits.
+Series files: one [n_rois x series_len] array per scan, one row per ROI, one
+column per time point. A path ending in `.npy` is a NumPy array file, read
+with allow_pickle=False; any other path is comma-delimited numeric text.
+write_dataset writes float64 `.npy`. Text with 17 significant digits, as in
+datasets written before `.npy`, loads to the same float64 values.
 
 Connectome exports, the same text under one header line, in three formats:
 an n x n matrix under ROI labels, an "i,j,weight" edge list, or "roi,score"
@@ -170,18 +173,36 @@ def _read_csv(path, what, header=False):
         raise DataError(f"cannot parse {what} {path}: {exc}") from exc
 
 
+def _read_npy(path, what):
+    """A 2-D real array from a NumPy `.npy` file, as float64; never unpickles."""
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, EOFError) as exc:  # an empty file raises EOFError
+        raise DataError(f"cannot parse {what} {path}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):  # an .npz archive loads as an NpzFile
+        arr.close()
+        raise DataError(f"{what} {path} is an .npz archive, not one .npy array")
+    if arr.ndim != 2 or arr.dtype.kind not in "iuf":
+        raise DataError(f"{what} {path}: expected a 2-D real array, got {arr.ndim}-D {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def write_dataset(samples, truth, manifest: DatasetManifest, outdir, force=False):
     """Materialize a dataset directory: series/, manifest.json, ground truths."""
     out = Path(outdir)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
-    for stale in [*out.glob("series/*.csv"), *out.glob("connectome_*.csv"), out / "manifest.json"]:
-        stale.unlink(missing_ok=True)  # only files this format writes, so none outlive a rewrite
+    stale = [*out.glob("series/*.npy"), *out.glob("series/*.csv"), *out.glob("connectome_*.csv"),
+             out / "manifest.json"]
+    for path in stale:  # only files this format writes or wrote, so none outlive a rewrite
+        path.unlink(missing_ok=True)
     (out / "series").mkdir(parents=True, exist_ok=True)
     records = []
     for s in samples:
-        rel = f"series/{s.scan_id}.csv"
-        _write_csv(out / rel, s.series)
+        rel = f"series/{s.scan_id}.npy"
+        np.save(out / rel, np.asarray(s.series, dtype=np.float64))
         records.append(
             ScanRecord(id=s.scan_id, subject=s.subject_id, label=manifest.classes[s.label], path=rel)
         )
@@ -226,14 +247,17 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_dataset(manifest_path):
+def load_dataset(manifest_path, manifest=None):
     """Load and validate every scan named by a manifest.
 
-    Returns ScanSamples ordered by scan_id. Any missing file, unknown label,
-    or dimension mismatch raises a DataError naming the offending scan.
+    `manifest` is the manifest already loaded from `manifest_path`, if the
+    caller has it. Returns ScanSamples ordered by scan_id. Any missing or
+    unreadable file, unknown label, dimension mismatch or non-finite value
+    raises a DataError naming the offending scan.
     """
     manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
+    if manifest is None:
+        manifest = load_manifest(manifest_path)
     base = manifest_path.parent
     samples = []
     for rec in sorted(manifest.scans, key=lambda r: r.id):
@@ -242,7 +266,11 @@ def load_dataset(manifest_path):
         fpath = base / rec.path
         if not fpath.exists():
             raise DataError(f"scan {rec.id}: series file {fpath} does not exist")
-        series = _read_csv(fpath, "series file")
+        read = _read_npy if fpath.suffix == ".npy" else _read_csv
+        try:
+            series = read(fpath, "series file")
+        except DataError as exc:
+            raise DataError(f"scan {rec.id}: {exc}") from exc
         if series.shape[0] != manifest.n_rois:
             raise DataError(
                 f"scan {rec.id}: expected {manifest.n_rois} ROI rows, found {series.shape[0]}"

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import re
+import shutil
 from typing import Optional
 
 import numpy as np
@@ -71,10 +72,9 @@ def test_synth_manifest_counts(dataset_dir):
 
 
 def test_synth_series_shape(dataset_dir):
-    series = np.loadtxt(
-        dataset_dir / "series" / "class0_000.csv", delimiter=",", ndmin=2
-    )
+    series = np.load(dataset_dir / "series" / "class0_000.npy", allow_pickle=False)
     assert series.shape == (8, 30)
+    assert series.dtype == np.float64
 
 
 def test_synth_deterministic(tmp_path):
@@ -82,8 +82,8 @@ def test_synth_deterministic(tmp_path):
     assert main(["synth", "--out", str(a), *SYNTH_ARGS]) == 0
     assert main(["synth", "--out", str(b), *SYNTH_ARGS]) == 0
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-    assert (a / "series" / "class1_003.csv").read_bytes() == (
-        b / "series" / "class1_003.csv"
+    assert (a / "series" / "class1_003.npy").read_bytes() == (
+        b / "series" / "class1_003.npy"
     ).read_bytes()
 
 
@@ -107,12 +107,37 @@ def test_synth_force_removes_the_old_datasets_files(tmp_path):
     scans = load_manifest(out / "manifest.json").scans
     assert len(scans) == 4
     assert sorted(p.name for p in (out / "series").iterdir()) == sorted(
-        f"{s.id}.csv" for s in scans
+        f"{s.id}.npy" for s in scans
     )
     assert sorted(p.name for p in out.glob("connectome_*.csv")) == [
         "connectome_class0.csv", "connectome_class1.csv",
     ]
     assert (out / "notes.txt").read_text() == "kept"
+
+
+def _write_csv_layout(dataset_dir, out):
+    """Copy a synthesized dataset into the layout written before `.npy`: each
+    series as 17-digit comma-delimited text under a manifest path ending `.csv`."""
+    doc = json.loads((dataset_dir / "manifest.json").read_text())
+    (out / "series").mkdir(parents=True)
+    for scan in doc["scans"]:
+        series = np.load(dataset_dir / scan["path"], allow_pickle=False)
+        scan["path"] = scan["path"].removesuffix(".npy") + ".csv"
+        np.savetxt(out / scan["path"], series, delimiter=",", fmt="%.17g")
+    for conn in dataset_dir.glob("connectome_*.csv"):
+        (out / conn.name).write_bytes(conn.read_bytes())
+    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return out / "manifest.json"
+
+
+def test_synth_force_over_a_csv_layout_leaves_no_csv_series(dataset_dir, tmp_path):
+    out = tmp_path / "d"
+    _write_csv_layout(dataset_dir, out)
+    assert main(["synth", "--out", str(out), "--force", *SYNTH_ARGS]) == 0
+    assert not list((out / "series").glob("*.csv"))
+    assert sorted(p.name for p in (out / "series").iterdir()) == sorted(
+        f"{s.id}.npy" for s in load_manifest(out / "manifest.json").scans
+    )
 
 
 @pytest.mark.parametrize("key,value", [
@@ -315,6 +340,15 @@ def test_train_conflicting_geometry_rejected(dataset_dir, tmp_path, capsys):
     assert "conflicts with the manifest" in capsys.readouterr().err
 
 
+def test_train_on_a_csv_layout_matches_the_npy_run_byte_for_byte(dataset_dir, trained_dir,
+                                                                   tmp_path):
+    manifest = _write_csv_layout(dataset_dir, tmp_path / "csv")
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), *TRAIN_ARGS]) == 0
+    for name in ("fold_report.txt", "fold_report.json", "fold0.ckpt", "fold1.ckpt"):
+        assert (out / name).read_bytes() == (trained_dir / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -354,6 +388,21 @@ def test_eval_mismatched_manifest_refused(trained_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n_rois" in err
     assert str(trained_dir / "fold0.ckpt") in err and str(other / "manifest.json") in err
+
+
+def test_eval_on_a_non_finite_series_exits_2_naming_the_scan(dataset_dir, trained_dir, tmp_path,
+                                                             capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    series = np.load(data / "series" / "class2_004.npy", allow_pickle=False)
+    series[3, 7] = np.inf
+    np.save(data / "series" / "class2_004.npy", series)
+    out = tmp_path / "ev"
+    rc = main(["eval", "--checkpoint", str(trained_dir / "fold0.ckpt"),
+               "--manifest", str(data / "manifest.json"), "--out", str(out)])
+    assert rc == 2
+    assert "scan class2_004: series contains non-finite values" in capsys.readouterr().err
+    assert not (out / "metrics.txt").exists()
 
 
 def _synth_with(out, **changes):
@@ -737,7 +786,7 @@ def test_ablate_bad_variant_value_is_a_config_error(dataset_dir, tmp_path, capsy
 
 
 def _dataset_never_loaded(*args, **kwargs):
-    raise AssertionError("the dataset was loaded before every --variant was checked")
+    raise AssertionError("the dataset was loaded before every config and --variant was checked")
 
 
 @pytest.mark.parametrize("variants,named", [
@@ -755,6 +804,22 @@ def test_ablate_variants_checked_before_anything_is_loaded(dataset_dir, tmp_path
     for spec in variants:
         argv += ["--variant", spec]
     assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "ablate"])
+@pytest.mark.parametrize("setting,named", [
+    ("model.n_rois=7", "model.n_rois=7 conflicts with the manifest value 8"),
+    ("model.embed_len=999", "embed_len (999) must not exceed series_len (30)"),
+    ("train.folds=1", "folds must be >= 2, got 1"),
+], ids=["n_rois", "embed_len", "folds"])
+def test_cv_configs_checked_before_any_scan_is_read(dataset_dir, tmp_path, capsys, monkeypatch,
+                                                     subcommand, setting, named):
+    monkeypatch.setattr(cli, "load_dataset", _dataset_never_loaded)
+    out = tmp_path / "run"
+    assert main([subcommand, "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
+                 *TRAIN_ARGS, "--set", setting]) == 2
     assert named in capsys.readouterr().err
     assert not (out / "resolved.cfg").exists()
 

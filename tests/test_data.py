@@ -1,5 +1,6 @@
 """Dataset I/O, the synthetic generator, and connectome exports."""
 
+import io
 import json
 import re
 import subprocess
@@ -184,6 +185,88 @@ def test_dataset_unknown_label_names_scan(tmp_path):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=doc["scans"][0]["id"]):
         load_dataset(manifest_path)
+
+
+def test_csv_series_written_before_npy_load_to_the_same_bytes(tmp_path):
+    manifest_path, samples = _write_tiny_dataset(tmp_path)
+    old = tmp_path / "old"
+    (old / "series").mkdir(parents=True)
+    doc = json.loads(manifest_path.read_text())
+    by_id = {s.scan_id: s for s in samples}
+    for scan in doc["scans"]:
+        assert scan["path"] == f"series/{scan['id']}.npy"
+        scan["path"] = f"series/{scan['id']}.csv"
+        np.savetxt(old / scan["path"], by_id[scan["id"]].series, delimiter=",", fmt="%.17g")
+    (old / "manifest.json").write_text(json.dumps(doc))
+    new, legacy = load_dataset(manifest_path), load_dataset(old / "manifest.json")
+    assert [s.scan_id for s in legacy] == [s.scan_id for s in new] == sorted(by_id)
+    for a, b in zip(new, legacy):
+        assert (a.subject_id, a.label) == (b.subject_id, b.label)
+        assert a.series.dtype == b.series.dtype == np.float64
+        assert a.series.tobytes() == b.series.tobytes() == by_id[a.scan_id].series.tobytes()
+
+
+def _good_series(n=6, length=20):
+    return np.random.default_rng(0).normal(size=(n, length))
+
+
+def _with_value(value):
+    series = _good_series()
+    series[2, 5] = value
+    return series
+
+
+def _npz_bytes(path):
+    archive = io.BytesIO()
+    np.savez(archive, series=_good_series())
+    path.write_bytes(archive.getvalue())
+
+
+def _truncated(path):
+    np.save(path, _good_series())
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+SERIES_REJECTIONS = {
+    "csv-nan": (".csv", lambda p: np.savetxt(p, _with_value(np.nan), delimiter=",", fmt="%.17g"),
+                "series contains non-finite values"),
+    "csv-ragged": (".csv", lambda p: p.write_text("1,2,3\n4,5\n"), "cannot parse"),
+    "csv-non-numeric": (".csv", lambda p: p.write_text("1,2,3\n4,abc,6\n"), "cannot parse"),
+    "npy-empty": (".npy", lambda p: p.write_bytes(b""), "cannot parse"),
+    "npy-npz-archive": (".npy", _npz_bytes, "is an .npz archive"),
+    "npy-object": (".npy", lambda p: np.save(p, np.array([[1.0, None]], dtype=object)),
+                   "cannot parse .*[Oo]bject arrays"),
+    "npy-1d": (".npy", lambda p: np.save(p, np.zeros(20)), "expected a 2-D real array, got 1-D"),
+    "npy-complex": (".npy", lambda p: np.save(p, _good_series().astype(complex)),
+                    "expected a 2-D real array, got 2-D complex128"),
+    "npy-truncated": (".npy", _truncated, "cannot parse"),
+    "npy-inf": (".npy", lambda p: np.save(p, _with_value(-np.inf)),
+                "series contains non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", list(SERIES_REJECTIONS))
+def test_bad_series_file_raises_a_data_error_naming_the_scan(tmp_path, case):
+    suffix, write, cause = SERIES_REJECTIONS[case]
+    manifest_path, _ = _write_tiny_dataset(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    scan = doc["scans"][1]
+    scan["path"] = f"series/{scan['id']}{suffix}"
+    write(manifest_path.parent / scan["path"])
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"^scan {scan['id']}: .*{cause}"):
+        load_dataset(manifest_path)
+
+
+def test_npy_series_of_another_real_dtype_loads_as_float64(tmp_path):
+    manifest_path, _ = _write_tiny_dataset(tmp_path)
+    doc = json.loads(manifest_path.read_text())
+    victim = manifest_path.parent / doc["scans"][0]["path"]
+    ints = np.arange(6 * 20, dtype=np.int32).reshape(6, 20)
+    np.save(victim, ints)
+    loaded = {s.scan_id: s.series for s in load_dataset(manifest_path)}[doc["scans"][0]["id"]]
+    assert loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, ints)
 
 
 def test_write_dataset_refuses_nonempty_dir(tmp_path):
