@@ -1,8 +1,9 @@
 """Optimization loop: AdamW, mixup augmentation, cross-validated experiments,
 the ablation harness, and the finite-difference gradient check.
 
-Every fold owns a private model, optimizer, and RNG streams derived from
-(seed, fold index), so runs are bit-reproducible end to end.
+`fit_fold` is the one fold body: cross-validation and every ablation row
+train through it. Each fold owns a private model, optimizer, and RNG streams
+derived from (seed, fold index), so runs are bit-reproducible end to end.
 """
 
 import logging
@@ -219,56 +220,54 @@ class FoldResult:
     report: "FoldReport"
     models: list
     histories: list
-    splits: list
+
+
+def cv_splits(samples, train_cfg: TrainConfig):
+    """A run's (train, test) index splits: stratified k-fold over the labels,
+    shuffled by the seed's "folds" stream."""
+    labels = [s.label for s in samples]
+    return stratified_kfold(labels, train_cfg.folds, derive_seed(train_cfg.seed, "folds"))
+
+
+def fit_fold(samples, split, model_cfg: ModelConfig, train_cfg: TrainConfig, fold):
+    """Train a fresh model, seeded by (seed, fold), on the split's training
+    scans for the full epoch budget; returns (model, history, report), the
+    report holding the final-epoch metrics on the split's test scans."""
+    train_idx, test_idx = split
+    if np.intersect1d(train_idx, test_idx).size:
+        raise TrainingError(f"fold {fold}: train/test overlap")
+    train_samples = [samples[i] for i in train_idx]
+    test_samples = [samples[i] for i in test_idx]
+    model = MLCGCN(model_cfg, rng=derive_rng(train_cfg.seed, "init", fold))
+    opt = OptimizerState.for_params(model.params)
+    rngs = [derive_rng(train_cfg.seed, stream, fold) for stream in ("batches", "mixup", "dropout")]
+    history = []
+    for epoch in range(1, train_cfg.epochs + 1):
+        t0 = time.perf_counter()
+        stats = train_epoch(model, train_samples, train_cfg, opt, *rngs, epoch)
+        stats["sec"] = time.perf_counter() - t0
+        history.append(stats)
+        log.info(
+            "fold=%d epoch=%d ce=%.6f group=%.6f total=%.6f sec=%.2f",
+            fold, epoch, stats["ce"], stats["group"], stats["total"], stats["sec"],
+        )
+    probs, truth = evaluate_model(model, test_samples)
+    return model, history, compute_metrics(probs, truth)
 
 
 def run_cv(samples, model_cfg: ModelConfig, train_cfg: TrainConfig) -> FoldResult:
-    """Stratified cross-validation: fresh seeded model per fold, full epoch
-    budget, final-epoch metrics on the held-out split."""
-    labels = [s.label for s in samples]
-    splits = stratified_kfold(labels, train_cfg.folds, derive_seed(train_cfg.seed, "folds"))
-    reports = []
-    models = []
-    histories = []
-    for fold, (train_idx, test_idx) in enumerate(splits):
-        if np.intersect1d(train_idx, test_idx).size:
-            raise TrainingError(f"fold {fold}: train/test overlap")  # pragma: no cover
-        train_samples = [samples[i] for i in train_idx]
-        test_samples = [samples[i] for i in test_idx]
-        model = MLCGCN(model_cfg, rng=derive_rng(train_cfg.seed, "init", fold))
-        opt = OptimizerState.for_params(model.params)
-        rng_batches = derive_rng(train_cfg.seed, "batches", fold)
-        rng_mixup = derive_rng(train_cfg.seed, "mixup", fold)
-        rng_dropout = derive_rng(train_cfg.seed, "dropout", fold)
-        history = []
-        for epoch in range(1, train_cfg.epochs + 1):
-            t0 = time.perf_counter()
-            stats = train_epoch(
-                model, train_samples, train_cfg, opt, rng_batches, rng_mixup, rng_dropout, epoch
-            )
-            stats["sec"] = time.perf_counter() - t0
-            history.append(stats)
-            log.info(
-                "fold=%d epoch=%d ce=%.6f group=%.6f total=%.6f sec=%.2f",
-                fold, epoch, stats["ce"], stats["group"], stats["total"], stats["sec"],
-            )
-        probs, truth = evaluate_model(model, test_samples)
-        reports.append(compute_metrics(probs, truth))
-        models.append(model)
-        histories.append(history)
-    return FoldResult(FoldReport(reports), models, histories, splits)
+    """Stratified cross-validation: `fit_fold` over each of `cv_splits`."""
+    folds = [fit_fold(samples, split, model_cfg, train_cfg, fold)
+             for fold, split in enumerate(cv_splits(samples, train_cfg))]
+    models, histories, reports = (list(column) for column in zip(*folds))
+    return FoldResult(FoldReport(reports), models, histories)
 
 
 @dataclass
 class AblationRow:
     name: str
-    report: object  # FoldReport or None when the variant failed
+    report: FoldReport
     group_dissimilarity: float
-    error: str = ""
-
-    @property
-    def failed(self):
-        return self.report is None
 
 
 TABLE_VARIANTS = [
@@ -292,41 +291,37 @@ def _apply_deltas(model_cfg, train_cfg, deltas):
     return replace(model_cfg, **changes["model"]), replace(train_cfg, **changes["train"])
 
 
-def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, variants=None):
-    """Run a list of (name, config-delta) variants through run_cv.
+def run_ablation(samples, model_cfg: ModelConfig, train_cfg: TrainConfig, variants=TABLE_VARIANTS):
+    """Run a list of (name, config-delta) variants fold by fold.
 
-    Each row yields a FoldReport plus the post-training intra-group
-    dissimilarity averaged over folds (measured on each fold's training
-    split, whether or not the group term was optimized). A variant with an
-    invalid config is marked failed and the run continues.
+    Every variant's configs and splits are built before any fold trains, so
+    an invalid variant raises ConfigError naming it and nothing runs. Each
+    row yields a FoldReport plus the post-training intra-group dissimilarity
+    averaged over folds (measured on each fold's training split, whether or
+    not the group term was optimized).
     """
-    if variants is None:
-        variants = TABLE_VARIANTS
-    rows = []
+    plans = []
     for name, deltas in variants:
         try:
             m_cfg, t_cfg = _apply_deltas(model_cfg, train_cfg, deltas)
-            result = run_cv(samples, m_cfg, t_cfg)
-            dissim = float(np.mean([
-                graph_stats(model, [samples[i] for i in split[0]]).dissimilarity()
-                for model, split in zip(result.models, result.splits)
-            ]))
-            rows.append(AblationRow(name, result.report, dissim))
+            plans.append((name, m_cfg, t_cfg, cv_splits(samples, t_cfg)))
         except ConfigError as exc:
-            log.warning("variant %s failed: %s", name, exc)
-            rows.append(AblationRow(name, None, float("nan"), error=str(exc)))
+            raise ConfigError(f"variant {name}: {exc}") from exc
+    rows = []
+    for name, m_cfg, t_cfg, splits in plans:
+        reports, dissims = [], []
+        for fold, split in enumerate(splits):
+            model, _, report = fit_fold(samples, split, m_cfg, t_cfg, fold)
+            reports.append(report)
+            dissims.append(graph_stats(model, [samples[i] for i in split[0]]).dissimilarity())
+        rows.append(AblationRow(name, FoldReport(reports), float(np.mean(dissims))))
     return rows
 
 
 def ablation_table(rows) -> str:
-    """Comparison table: one CSV line per variant, metrics as mean +/- std; a
-    failed row's cause is one double-quoted cell, its own quotes doubled."""
+    """Comparison table: one CSV line per variant, metrics as mean +/- std."""
     lines = [",".join(["variant", *METRIC_LABELS, "group_dissimilarity"])]
     for row in rows:
-        if row.failed:
-            cause = row.error.replace('"', '""')
-            lines.append(f'{row.name},"failed: {cause}",,,,,')
-            continue
         cells = row.report.mean_std_cells()
         lines.append(",".join([row.name, *cells, f"{row.group_dissimilarity:.6f}"]))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: every subcommand, exit codes, reproducibility."""
 
-import csv
 import dataclasses
 import json
 import re
@@ -10,7 +9,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from mlcgcn import cli
+from mlcgcn import cli, training
 from mlcgcn.cli import build_parser, main, resolve_config
 from mlcgcn.data import (SyntheticSpec, export_connectome, load_connectome, load_dataset,
                          load_manifest)
@@ -445,7 +444,7 @@ def test_export_reads_a_manifest_with_another_class_count(trained_dir, tmp_path)
 
 
 def test_gradcheck_passes_and_lists_all_blocks(tmp_path, capsys):
-    from mlcgcn.cli import gradcheck_config
+    from mlcgcn.training import gradcheck_config
     from mlcgcn.model import init_params
 
     rc = main([
@@ -481,7 +480,7 @@ def test_gradcheck_failure_names_the_zero_norm_rows_it_met(tmp_path, capsys):
 
 
 def test_gradcheck_config_fits_short_series():
-    from mlcgcn.cli import gradcheck_config
+    from mlcgcn.training import gradcheck_config
 
     assert gradcheck_config(series_len=6).embed_len == 6
     assert gradcheck_config().embed_len == 8
@@ -789,6 +788,10 @@ def _dataset_never_loaded(*args, **kwargs):
     raise AssertionError("the dataset was loaded before every config and --variant was checked")
 
 
+def _fit_fold_never_called(*args, **kwargs):
+    raise AssertionError("a fold trained before every variant was checked")
+
+
 @pytest.mark.parametrize("variants,named", [
     (["a,b:train.alpha=0"], "'a,b:train.alpha=0'"),
     (['a"b:train.alpha=0'], "'a\"b:train.alpha=0'"),
@@ -839,14 +842,14 @@ def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
     assert (second / "ablation.txt").read_bytes() == (first / "ablation.txt").read_bytes()
 
 
-def test_ablate_failed_cause_with_commas_stays_one_csv_cell(dataset_dir, tmp_path):
+def test_ablate_invalid_variant_exits_2_before_any_fold_trains(dataset_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(training, "fit_fold", _fit_fold_never_called)
     out = tmp_path / "abl"
     rc = main(["ablate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
                *TRAIN_ARGS, "--variant", "bad:model.level_subset=0+5",
                "--variant", "ok:train.alpha=0.0"])
-    assert rc == 1
-    lines = (out / "ablation.txt").read_text().splitlines()
-    rows = list(csv.reader(lines))
-    assert [len(row) for row in rows] == [7, 7, 7]
-    assert rows[1][:2] == ["bad", "failed: level_subset entries must lie in [0, 2], got (0, 5)"]
-    assert lines[2] == ",".join(rows[2])  # a row that ran is written unquoted
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "variant bad" in err and "level_subset entries must lie in [0, 2]" in err
+    assert not (out / "ablation.txt").exists()

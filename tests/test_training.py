@@ -1,5 +1,7 @@
 """Optimizer, mixup, epoch loop, and cross-validation driver tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from mlcgcn import model as model_module
 from mlcgcn import training
 from mlcgcn.autodiff import Tensor
 from mlcgcn.data import SyntheticSpec, generate_synthetic
-from mlcgcn.errors import TrainingError
+from mlcgcn.errors import ConfigError, TrainingError
 from mlcgcn.losses import BatchTargets
+from mlcgcn.metrics import FoldReport
 from mlcgcn.model import MLCGCN, ModelConfig, predict
 from mlcgcn.seeding import derive_rng
 from mlcgcn.training import (
@@ -19,7 +22,9 @@ from mlcgcn.training import (
     TrainConfig,
     adamw_step,
     class_balanced_batches,
+    cv_splits,
     evaluate_model,
+    fit_fold,
     graph_stats,
     mixup_batch,
     run_ablation,
@@ -262,8 +267,29 @@ def test_run_cv_cardinality_and_aggregate():
     table = np.array([r.values() for r in result.report.folds])
     np.testing.assert_allclose(result.report.mean().values(), table.mean(axis=0), atol=1e-12)
     # test folds never overlap their training split
-    for train, test in result.splits:
+    for train, test in cv_splits(samples, tcfg):
         assert np.intersect1d(train, test).size == 0
+
+
+def test_run_cv_is_fit_fold_over_cv_splits():
+    samples = small_dataset(per_class=4)
+    cfg = small_model_config()
+    tcfg = TrainConfig(epochs=1, batch_size=4, folds=2, seed=9)
+    result = run_cv(samples, cfg, tcfg)
+    folds = [fit_fold(samples, split, cfg, tcfg, fold)
+             for fold, split in enumerate(cv_splits(samples, tcfg))]
+    assert result.report.to_text() == FoldReport([r for _, _, r in folds]).to_text()
+    for cv_model, (model, _, _) in zip(result.models, folds, strict=True):
+        assert cv_model.params.keys() == model.params.keys()
+        for name in model.params:
+            assert cv_model.params[name].data.tobytes() == model.params[name].data.tobytes()
+
+
+def test_fit_fold_refuses_an_overlapping_split():
+    samples = small_dataset(per_class=4)
+    split = (np.array([0, 1, 2, 4, 5]), np.array([2, 3]))
+    with pytest.raises(TrainingError, match="fold 3: train/test overlap"):
+        fit_fold(samples, split, small_model_config(), TrainConfig(epochs=1, folds=2), 3)
 
 
 def test_run_cv_parameters_stay_finite():
@@ -387,33 +413,37 @@ def test_run_ablation_empty_variants():
     assert rows == []
 
 
-def test_run_ablation_invalid_variant_marked_failed():
+def _fit_fold_never_called(*args, **kwargs):
+    raise AssertionError("a fold trained before every variant was checked")
+
+
+@pytest.mark.parametrize("deltas,named", [
+    ({"model.use_sfe": False, "model.use_tfe": False}, "use_sfe/use_tfe"),
+    ({"model.bogus": 1}, "model.bogus"),
+    ({"train.folds": 5}, "fewer than 5 folds"),
+], ids=["both-pathways-off", "unknown-key", "folds-above-class-count"])
+def test_run_ablation_refuses_an_invalid_variant_before_any_fold(monkeypatch, deltas, named):
+    monkeypatch.setattr(training, "fit_fold", _fit_fold_never_called)
+    samples = small_dataset(per_class=4)
+    variants = [("ok", {"train.alpha": 0.0}), ("broken", deltas)]
+    with pytest.raises(ConfigError, match=f"^variant broken: .*{re.escape(named)}"):
+        run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2), variants)
+
+
+def test_run_ablation_full_row_matches_run_cv():
     samples = small_dataset(per_class=4)
     cfg = small_model_config()
     tcfg = TrainConfig(epochs=1, batch_size=4, folds=2, seed=11)
-    variants = [
-        ("broken", {"model.use_sfe": False, "model.use_tfe": False}),
-        ("ok", {"train.alpha": 0.0}),
-    ]
-    rows = run_ablation(samples, cfg, tcfg, variants)
-    assert rows[0].failed and "use_sfe" in rows[0].error
-    assert not rows[1].failed
-    assert all(0.0 <= v <= 1.0 for v in rows[1].report.mean().values())
-
-
-def test_run_ablation_unknown_variant_field_marked_failed():
-    samples = small_dataset(per_class=4)
-    rows = run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2),
-                        [("bogus", {"model.bogus": 1})])
-    assert rows[0].failed and "model.bogus" in rows[0].error
+    (row,) = run_ablation(samples, cfg, tcfg, [("full", {})])
+    assert row.report.to_text() == run_cv(samples, cfg, tcfg).report.to_text()
 
 
 def test_run_ablation_does_not_hide_type_errors(monkeypatch):
-    def broken_run_cv(*args):
-        raise TypeError("a bug inside run_cv")
+    def broken_fit_fold(*args):
+        raise TypeError("a bug inside fit_fold")
 
-    monkeypatch.setattr(training, "run_cv", broken_run_cv)
+    monkeypatch.setattr(training, "fit_fold", broken_fit_fold)
     samples = small_dataset(per_class=4)
-    with pytest.raises(TypeError, match="a bug inside run_cv"):
+    with pytest.raises(TypeError, match="a bug inside fit_fold"):
         run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2),
                      [("full", {})])
