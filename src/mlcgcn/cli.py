@@ -3,10 +3,11 @@
 Subcommands: synth, train, eval, ablate, gradcheck, export. synth, train
 and ablate take configuration from a flat "key = value" file with dotted
 keys (model.levels, train.learning_rate, synth.noise), one per field of
-ModelConfig, TrainConfig and SyntheticSpec; repeated --set key=value flags
-override file values. Each subcommand takes only its own scopes: synth the
-synth.* keys, train and ablate the model.* and train.* keys (also in
-ablate --variant); any other key is a config error. Every run writes a
+ModelConfig, TrainConfig and SyntheticSpec but the DATA_FIELDS a manifest
+sets; repeated --set key=value flags override file values. Each subcommand
+takes only its own scopes: synth the synth.* keys, train and ablate the
+model.* and train.* keys (also in ablate --variant); any other key, a
+DATA_FIELDS one included, is a config error. Every run writes a
 resolved-config snapshot to its output directory. Exit codes: 0 success,
 1 verification/metric failure, 2 usage/config error (an output path that
 cannot be written included). Logs go to stderr, data to files and stdout.
@@ -41,7 +42,7 @@ from .errors import (
     TrainingError,
 )
 from .metrics import METRIC_LABELS, compute_metrics
-from .model import MLCGCN, ModelConfig
+from .model import DATA_FIELDS, MLCGCN, ModelConfig
 from .training import (
     TABLE_VARIANTS,
     TrainConfig,
@@ -83,10 +84,11 @@ def _level_subset(text):
 
 
 _PARSERS = {int: int, float: _finite_float, bool: _bool, Optional[tuple]: _level_subset}
+_MANIFEST_KEYS = {f"model.{name}" for name in DATA_FIELDS}
 _KNOWN_KEYS = {
     f"{scope}.{f.name}": _PARSERS[f.type]
     for scope, cls in (("model", ModelConfig), ("train", TrainConfig), ("synth", SyntheticSpec))
-    for f in dataclasses.fields(cls)
+    for f in dataclasses.fields(cls) if f"{scope}.{f.name}" not in _MANIFEST_KEYS
 }
 # The config scopes each configurable subcommand takes.
 _SCOPES = {"synth": ("synth",), "train": ("model", "train"), "ablate": ("model", "train")}
@@ -112,6 +114,8 @@ def parse_config_file(path):
 
 def _parse_key(key, value, subcommand):
     """Typed value of one config key, which must be in the subcommand's scopes."""
+    if key in _MANIFEST_KEYS:
+        raise ConfigError(f"config key {key!r} is set by the dataset's manifest")
     if key not in _KNOWN_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     scopes = _SCOPES[subcommand]
@@ -141,9 +145,9 @@ def resolve_config(args):
     return {key: _parse_key(key, value, args.subcommand) for key, value in raw.items()}
 
 
-def _dataclass_from_keys(cls, prefix, typed):
+def _dataclass_from_keys(cls, prefix, typed, **fixed):
     kwargs = {key[len(prefix):]: value for key, value in typed.items() if key.startswith(prefix)}
-    return cls(**kwargs)
+    return cls(**kwargs, **fixed)
 
 
 def _out_dir(args):
@@ -155,13 +159,14 @@ def _out_dir(args):
 
 def write_snapshot(outdir, args, configs=None):
     """Write resolved.cfg: a `run.<dest>` line per parsed argument (a record of
-    the run, ignored on input), then every field of each config object in
-    `configs` (scope -> dataclass) as a `scope.field` key, so `--config
-    resolved.cfg` reproduces the run."""
+    the run, ignored on input), then each field of each config object in
+    `configs` (scope -> dataclass) that is a config key, as a `scope.field`
+    line, so `--config resolved.cfg` reproduces the run."""
     lines = [f"run.{dest} = {value}" for dest, value in vars(args).items()
              if dest not in ("func", "out", "config", "set")]
     keys = {f"{scope}.{f.name}": getattr(cfg, f.name)
-            for scope, cfg in (configs or {}).items() for f in dataclasses.fields(cfg)}
+            for scope, cfg in (configs or {}).items() for f in dataclasses.fields(cfg)
+            if f"{scope}.{f.name}" in _KNOWN_KEYS}
     for key in sorted(keys):
         value = keys[key]
         if value is None:  # an unset level_subset: every level
@@ -173,15 +178,12 @@ def write_snapshot(outdir, args, configs=None):
 
 
 def _manifest_geometry(manifest):
-    """The ModelConfig fields a dataset fixes, by field name."""
-    return {
-        "n_rois": manifest.n_rois,
-        "series_len": manifest.series_len,
-        "classes": len(manifest.classes),
-    }
+    """The manifest's value of each of the model's DATA_FIELDS, by field name."""
+    values = (manifest.n_rois, manifest.series_len, len(manifest.classes))
+    return dict(zip(DATA_FIELDS, values, strict=True))
 
 
-def _check_fits(model, args, names=("n_rois", "series_len", "classes")):
+def _check_fits(model, args, names=DATA_FIELDS):
     """Refuse a checkpoint whose `names` differ from the manifest's before any
     scan is read; returns the manifest."""
     manifest = load_manifest(args.manifest)
@@ -192,18 +194,6 @@ def _check_fits(model, args, names=("n_rois", "series_len", "classes")):
         raise ConfigError(f"checkpoint {args.checkpoint} does not fit manifest {args.manifest}: "
                           + "; ".join(mismatches))
     return manifest
-
-
-def _fill_model_defaults(typed, manifest):
-    """Model geometry follows the dataset; explicit conflicting keys fail fast."""
-    for name, value in _manifest_geometry(manifest).items():
-        key = f"model.{name}"
-        if key in typed and typed[key] != value:
-            raise ConfigError(
-                f"{key}={typed[key]} conflicts with the manifest value {value}"
-            )
-        typed[key] = value
-    return typed
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +218,11 @@ def cmd_synth(args):
 
 def _cv_setup(args):
     """Set-up shared by train and ablate: the dataset, the model and train
-    configs, and the output directory with its snapshot. Both configs are
-    checked against the manifest before any scan is read."""
+    configs (DATA_FIELDS from the manifest), and the output directory with its
+    snapshot. Both configs are checked before any scan is read."""
     typed = resolve_config(args)
     manifest = load_manifest(args.manifest)
-    typed = _fill_model_defaults(typed, manifest)
-    model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed)
+    model_cfg = _dataclass_from_keys(ModelConfig, "model.", typed, **_manifest_geometry(manifest))
     train_cfg = _dataclass_from_keys(TrainConfig, "train.", typed)
     samples = load_dataset(args.manifest, manifest)
     outdir = _out_dir(args)
@@ -275,11 +264,17 @@ def _parse_variant(spec):
         raise ConfigError(f"--variant {spec!r}: the name must be non-empty and hold no ',', "
                           "'\"' or line break")
     pairs = [pair.partition("=") for pair in rest.split(",")] if rest else []
-    return name, {key: _parse_key(key, value, "ablate") for key, _, value in pairs}
+    try:
+        return name, {key: _parse_key(key, value, "ablate") for key, _, value in pairs}
+    except ConfigError as exc:
+        raise ConfigError(f"variant {name}: {exc}") from exc
 
 
 def cmd_ablate(args):
     variants = [_parse_variant(spec) for spec in args.variant] if args.variant else TABLE_VARIANTS
+    for i, (name, _) in enumerate(variants):
+        if name in (other for other, _ in variants[:i]):  # ablation.txt rows are keyed by name
+            raise ConfigError(f"--variant name {name!r} is given more than once")
     samples, model_cfg, train_cfg, outdir = _cv_setup(args)
     rows = run_ablation(samples, model_cfg, train_cfg, variants)
     table = ablation_table(rows)

@@ -34,6 +34,7 @@ _JSON_CONFIG_TYPES = {
     bool: lambda v: isinstance(v, bool),
     Optional[tuple]: lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
 }
+DATA_FIELDS = ("n_rois", "series_len", "classes")  # the ModelConfig fields a manifest sets
 
 
 @dataclass

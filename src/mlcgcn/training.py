@@ -19,7 +19,7 @@ from .data import GraphStats
 from .errors import ConfigError, DataError, TrainingError, ZeroNormRowsWarning
 from .losses import BatchTargets, cross_entropy, group_loss, total_loss
 from .metrics import METRIC_LABELS, FoldReport, compute_metrics, stratified_kfold
-from .model import MLCGCN, ModelConfig
+from .model import DATA_FIELDS, MLCGCN, ModelConfig
 from .seeding import derive_rng, derive_seed
 
 log = logging.getLogger("mlcgcn")
@@ -287,6 +287,8 @@ def _apply_deltas(model_cfg, train_cfg, deltas):
         scope, _, name = key.partition(".")
         if scope not in configs or name not in {f.name for f in fields(configs[scope])}:
             raise ConfigError(f"unknown variant key {key!r}")
+        if scope == "model" and name in DATA_FIELDS:
+            raise ConfigError(f"key {key!r} is set by the dataset's manifest")
         changes[scope][name] = value
     return replace(model_cfg, **changes["model"]), replace(train_cfg, **changes["train"])
 

@@ -13,7 +13,8 @@ from mlcgcn import cli, training
 from mlcgcn.cli import build_parser, main, resolve_config
 from mlcgcn.data import (SyntheticSpec, export_connectome, load_connectome, load_dataset,
                          load_manifest)
-from mlcgcn.model import MLCGCN, LevelOutputs, ModelConfig, Tensor
+from mlcgcn.errors import ConfigError
+from mlcgcn.model import DATA_FIELDS, MLCGCN, LevelOutputs, ModelConfig, Tensor
 from mlcgcn.training import EVAL_BATCH, TrainConfig, graph_stats
 
 
@@ -170,19 +171,26 @@ def test_every_config_field_settable_and_typed():
         int: ("3", 3), float: ("0.5", 0.5), bool: ("false", False),
         Optional[tuple]: ("0+1", (0, 1)),
     }
-    for argv, scopes in (
-        (["synth"], (("synth", SyntheticSpec),)),
-        (["train", "--manifest", "m.json"], (("model", ModelConfig), ("train", TrainConfig))),
-    ):
+    types = {f"{scope}.{f.name}": f.type
+             for scope, cls in (("model", ModelConfig), ("train", TrainConfig),
+                                ("synth", SyntheticSpec))
+             for f in dataclasses.fields(cls)}
+    manifest_keys = {f"model.{name}" for name in DATA_FIELDS}
+    assert set(cli._KNOWN_KEYS) == set(types) - manifest_keys
+    for argv, scopes in ((["synth"], ("synth",)), (["train", "--manifest", "m.json"], ("model", "train"))):
         expected = {}
-        for scope, cls in scopes:
-            for f in dataclasses.fields(cls):
-                text, value = samples[f.type]
-                argv += ["--set", f"{scope}.{f.name}={text}"]
-                expected[f"{scope}.{f.name}"] = value
+        for key in cli._KNOWN_KEYS:
+            if key.partition(".")[0] in scopes:
+                text, value = samples[types[key]]
+                argv += ["--set", f"{key}={text}"]
+                expected[key] = value
         typed = resolve_config(build_parser().parse_args(argv))
         assert typed == expected
         assert all(type(typed[k]) is type(v) for k, v in expected.items())
+    for key in sorted(manifest_keys):
+        args = build_parser().parse_args(["train", "--manifest", "m.json", "--set", f"{key}=3"])
+        with pytest.raises(ConfigError, match=f"config key '{key}' is set by the dataset's manifest"):
+            resolve_config(args)
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -336,7 +344,7 @@ def test_train_conflicting_geometry_rejected(dataset_dir, tmp_path, capsys):
         "--out", str(tmp_path / "bad"), "--set", "model.n_rois=99", *TRAIN_ARGS,
     ])
     assert rc == 2
-    assert "conflicts with the manifest" in capsys.readouterr().err
+    assert "config key 'model.n_rois' is set by the dataset's manifest" in capsys.readouterr().err
 
 
 def test_train_on_a_csv_layout_matches_the_npy_run_byte_for_byte(dataset_dir, trained_dir,
@@ -798,7 +806,11 @@ def _fit_fold_never_called(*args, **kwargs):
     (["a\nb:train.alpha=0"], "'a\\nb:train.alpha=0'"),
     ([":train.alpha=0"], "':train.alpha=0'"),
     (["ok:train.alpha=0", "x:model.levels=two"], "model.levels"),
-], ids=["comma", "quote", "newline", "empty", "bad-value-in-second"])
+    (["ok:train.alpha=0", "c5:model.classes=5"], "variant c5: config key 'model.classes' is set"),
+    (["ok:train.alpha=0", "n8:model.n_rois=8"], "variant n8: config key 'model.n_rois' is set"),
+    (["a:train.alpha=0", "a:train.alpha=1"], "--variant name 'a' is given more than once"),
+], ids=["comma", "quote", "newline", "empty", "bad-value-in-second", "classes", "n_rois",
+        "repeated-name"])
 def test_ablate_variants_checked_before_anything_is_loaded(dataset_dir, tmp_path, capsys,
                                                            monkeypatch, variants, named):
     monkeypatch.setattr(cli, "load_dataset", _dataset_never_loaded)
@@ -813,7 +825,7 @@ def test_ablate_variants_checked_before_anything_is_loaded(dataset_dir, tmp_path
 
 @pytest.mark.parametrize("subcommand", ["train", "ablate"])
 @pytest.mark.parametrize("setting,named", [
-    ("model.n_rois=7", "model.n_rois=7 conflicts with the manifest value 8"),
+    ("model.n_rois=7", "config key 'model.n_rois' is set by the dataset's manifest"),
     ("model.embed_len=999", "embed_len (999) must not exceed series_len (30)"),
     ("train.folds=1", "folds must be >= 2, got 1"),
 ], ids=["n_rois", "embed_len", "folds"])
@@ -827,6 +839,24 @@ def test_cv_configs_checked_before_any_scan_is_read(dataset_dir, tmp_path, capsy
     assert not (out / "resolved.cfg").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["train", "ablate"])
+@pytest.mark.parametrize("source", ["--config", "--set"])
+def test_a_manifest_field_is_refused_even_at_the_manifest_value(dataset_dir, tmp_path, capsys,
+                                                                 monkeypatch, subcommand, source):
+    monkeypatch.setattr(cli, "load_dataset", _dataset_never_loaded)
+    if source == "--config":  # as a resolved.cfg written while the key existed lists it
+        config = tmp_path / "old.cfg"
+        config.write_text("model.levels = 2\nmodel.n_rois = 8\n", encoding="utf-8")
+        setting, key = [source, str(config)], "model.n_rois"
+    else:
+        setting, key = [source, "model.series_len=30"], "model.series_len"
+    out = tmp_path / "run"
+    assert main([subcommand, "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
+                 *setting]) == 2
+    assert f"config key '{key}' is set by the dataset's manifest" in capsys.readouterr().err
+    assert not (out / "resolved.cfg").exists()
+
+
 def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
     variant = ["--variant", "no-group:train.alpha=0.0"]
     first, second = tmp_path / "a1", tmp_path / "a2"
@@ -834,8 +864,7 @@ def test_ablate_rerun_from_snapshot_matches(dataset_dir, tmp_path):
                  "--out", str(first), *TRAIN_ARGS, *variant]) == 0
     snapshot = first / "resolved.cfg"
     keys = {line.split(" = ")[0] for line in snapshot.read_text().splitlines()}
-    expected = {f"{scope}.{f.name}" for scope, cls in (("model", ModelConfig), ("train", TrainConfig))
-                for f in dataclasses.fields(cls)}
+    expected = {key for key in cli._KNOWN_KEYS if key.partition(".")[0] in ("model", "train")}
     assert keys - {"run.subcommand", "run.manifest", "run.variant"} == expected
     assert main(["ablate", "--manifest", str(dataset_dir / "manifest.json"),
                  "--out", str(second), "--config", str(snapshot), *variant]) == 0

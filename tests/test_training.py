@@ -430,6 +430,17 @@ def test_run_ablation_refuses_an_invalid_variant_before_any_fold(monkeypatch, de
         run_ablation(samples, small_model_config(), TrainConfig(epochs=1, folds=2), variants)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("model.classes", 5), ("model.n_rois", 8), ("model.series_len", 30),
+], ids=["classes", "n_rois-at-its-value", "series_len-at-its-value"])
+def test_run_ablation_refuses_a_variant_that_sets_a_manifest_field(monkeypatch, key, value):
+    monkeypatch.setattr(training, "fit_fold", _fit_fold_never_called)
+    samples = small_dataset(per_class=4)
+    cfg = small_model_config()
+    with pytest.raises(ConfigError, match=f"^variant c5: key '{key}' is set by the dataset"):
+        run_ablation(samples, cfg, TrainConfig(epochs=1, folds=2), [("ok", {}), ("c5", {key: value})])
+
+
 def test_run_ablation_full_row_matches_run_cv():
     samples = small_dataset(per_class=4)
     cfg = small_model_config()
