@@ -259,13 +259,18 @@ def sum_all(x):
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_pull(g, y):
     """Adjoint of the softmax input, given the softmax output y."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    d = g * y
+    np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+    d *= y
+    return d
 
 
 def softmax_rows(x):
@@ -290,21 +295,32 @@ def _wgrad(a, da):
 
 
 def _drop(a, keep, rate):
-    """a with the units the bool mask `keep` drops zeroed, survivors scaled by 1/(1-rate)."""
-    return a if keep is None else a * keep * (1.0 / (1.0 - rate))
+    """a with the units the bool mask `keep` drops zeroed, survivors scaled by
+    1/(1-rate): a itself without a mask, else one new array."""
+    if keep is None:
+        return a
+    out = a * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def _mlp2_forward(x, w1, b1, w2, b2, keep=None, rate=0.0):
     """The hidden activations relu(x·w1 + b1), dropped by `keep`, and hidden·w2 + b2."""
-    hid = _drop(np.maximum(_dense(x, w1) + b1, 0.0), keep, rate)
-    return hid, _dense(hid, w2) + b2
+    hid = _dense(x, w1)
+    hid += b1
+    hid = _drop(np.maximum(hid, 0.0, out=hid), keep, rate)
+    out = _dense(hid, w2)
+    out += b2
+    return hid, out
 
 
 def _mlp2_pull(g, x, hid, w1, w2, scale=None):
     """Adjoints of x, w1, b1, w2 and b2 for `_mlp2_forward`; `scale` is its dropout's 1/(1-rate)."""
-    dhid = _dense(g, w2.T)
+    dpre = _dense(g, w2.T)
+    if scale is not None:
+        dpre *= scale
     # A dropped unit's hidden activation is 0, so the ReLU mask zeroes it too.
-    dpre = (dhid if scale is None else dhid * scale) * (hid > 0.0)
+    dpre *= hid > 0.0
     return (_dense(dpre, w1.T), _wgrad(x, dpre), dpre.reshape(-1, dpre.shape[-1]).sum(axis=0),
             _wgrad(hid, g), g.reshape(-1, g.shape[-1]).sum(axis=0))
 
@@ -330,16 +346,20 @@ def _norm_rows(x):
     """The rows of x normalised to mean 0 / variance 1, and their inverse stds."""
     xc = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
-    return xc * inv, inv
+    xc *= inv
+    return xc, inv
 
 
 def _norm_rows_pull(g, xhat, inv, gain):
     """Adjoints of x, gain and shift for the layer norm xhat * gain + shift."""
     d = xhat.shape[-1]
-    gx = g * gain
-    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-    return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+    dx = g * gain
+    t = dx * xhat
+    mean_gx_xhat = t.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= np.multiply(xhat, mean_gx_xhat, out=t)
+    dx *= inv
+    return dx, np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
 # The blocks of `encoder_layer`, in the order its record lists them after h.
@@ -358,11 +378,12 @@ def encoder_layer(h, blocks, heads, keep=(None, None), rate=0.0):
     to its tensor. `keep` holds the attention and the feed-forward bool
     masks [..., l x n], each None for no dropout; survivors scale by
     1/(1-rate).
-    One record, which keeps the ln2 and ln_out norms' normalised rows, every
-    norm's inverse stds, q, k, v, the attention weights, the merged heads,
-    the hidden activations and the masks as bool. Its pull recomputes the
-    ln1 normalised rows from h and their inverse stds, and the ln1 and ln2
-    outputs from the normalised rows.
+    One record, which keeps the attention weights, the ln2 and ln_out norms'
+    normalised rows, every norm's inverse stds, the hidden activations and
+    the masks as bool. Its pull rebuilds the ln1 normalised rows from h and
+    their inverse stds, the ln1 and ln2 outputs from the normalised rows,
+    q, k, v from the ln1 output and the merged heads from the attention
+    weights and v, each with the forward's operations.
     """
     h = _as_tensor(h)
     tensors = tuple(_as_tensor(blocks[name]) for name in ENCODER_BLOCKS)
@@ -387,15 +408,16 @@ def encoder_layer(h, blocks, heads, keep=(None, None), rate=0.0):
     del xhat1
     if not taped:
         del inv1
-    q, k, v = _dense(a1, wq), _dense(a1, wk), _dense(a1, wv)
+    q, k, v = (_dense(a1, w) for w in (wq, wk, wv))
     del a1
     att = _softmax(np.matmul(split(q), np.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(d)))
+    del q, k
     merged = merge(np.matmul(att, split(v)))
+    del v
     if not taped:
-        del q, k, v, att
+        del att
     x = x + _drop(_dense(merged, wo), m1, rate)
-    if not taped:
-        del merged
+    del merged
     xhat2, inv2 = _norm_rows(x)
     a2 = xhat2 * g2 + s2
     if not taped:
@@ -404,7 +426,7 @@ def encoder_layer(h, blocks, heads, keep=(None, None), rate=0.0):
     del a2
     if not taped:
         del hid
-    x = x + _drop(f, m2, rate)
+    x += _drop(f, m2, rate)
     del f
     xhat3, inv3 = _norm_rows(x)
     del x
@@ -415,22 +437,34 @@ def encoder_layer(h, blocks, heads, keep=(None, None), rate=0.0):
                                        xhat3, inv3, g3)
         da2, gw1, gb1, gw2, gb2 = _mlp2_pull(_drop(gx, m2, rate), xhat2 * g2 + s2, hid, w1, w2)
         da2, gg2, gs2 = _norm_rows_pull(da2, xhat2, inv2, g2)
-        gx = gx + da2
+        gx += da2
+        del da2
         datt = _drop(gx, m1, rate)
+        x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
+        xhat1 = x - x.mean(axis=-1, keepdims=True)  # as `_norm_rows` computes it
+        del x
+        xhat1 *= inv1
+        a1 = xhat1 * g1 + s1
+        q, k, v = (_dense(a1, w) for w in (wq, wk, wv))
+        gwo = _wgrad(merge(np.matmul(att, split(v))), datt)
         do = split(_dense(datt, wo.T))
-        ds = _softmax_pull(np.matmul(do, np.swapaxes(split(v), -1, -2)), att) * (1.0 / np.sqrt(d))
+        del datt
+        dv = merge(np.matmul(np.swapaxes(att, -1, -2), do))
+        ds = _softmax_pull(np.matmul(do, np.swapaxes(split(v), -1, -2)), att)
+        del do, v
+        ds *= 1.0 / np.sqrt(d)
         dq = merge(np.matmul(ds, split(k)))
         dk = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q)))
-        dv = merge(np.matmul(np.swapaxes(att, -1, -2), do))
-        da1 = _dense(dq, wq.T) + _dense(dk, wk.T) + _dense(dv, wv.T)
-        x = np.ascontiguousarray(np.swapaxes(h.data, -1, -2))
-        xhat1 = (x - x.mean(axis=-1, keepdims=True)) * inv1  # as `_norm_rows` computes it
-        del x
+        del ds, q, k
+        da1 = _dense(dq, wq.T)
+        da1 += _dense(dk, wk.T)
+        da1 += _dense(dv, wv.T)
         dx, gg1, gs1 = _norm_rows_pull(da1, xhat1, inv1, g1)
-        a1 = xhat1 * g1 + s1
-        del xhat1
-        grads = (np.swapaxes(gx + dx, -1, -2), gg1, gs1,
-                 _wgrad(a1, dq), _wgrad(a1, dk), _wgrad(a1, dv), _wgrad(merged, datt), gg2, gs2,
+        del da1, xhat1
+        gx += dx
+        del dx
+        grads = (np.swapaxes(gx, -1, -2), gg1, gs1,
+                 _wgrad(a1, dq), _wgrad(a1, dk), _wgrad(a1, dv), gwo, gg2, gs2,
                  gw1, gb1, gw2, gb2, gg3, gs3)
         for t, grad in zip((h, *tensors), grads):
             acc(t, grad)
@@ -449,9 +483,10 @@ def tfe_layer(h, blocks, counts, window):
     counts of a moving average; seasonal = h - trend; then
     relu(trend·wt) + relu(seasonal·ws), the ReLU MLP `mlp.*` and a layer norm
     with `norm.gain` and `norm.shift`. `blocks` maps each TFE_BLOCKS name to
-    its tensor. One record, which keeps the trend, the two ReLU masks as
-    bool, the MLP input and hidden activations, and the norm's normalised
-    rows and inverse stds; its pull recomputes seasonal as h - trend.
+    its tensor. One record, which keeps the MLP hidden activations and the
+    norm's normalised rows and inverse stds. Its pull recomputes the trend,
+    the seasonal part, both pre-activations, their ReLU masks and the MLP
+    input from h, with the forward's operations.
     """
     h = _as_tensor(h)
     tensors = tuple(_as_tensor(blocks[name]) for name in TFE_BLOCKS)
@@ -462,28 +497,37 @@ def tfe_layer(h, blocks, counts, window):
                          f"{h.data.shape}, got {counts.shape}")
     taped = _records((h, *tensors))
 
-    trend = _dense(h.data, counts) * (1.0 / window)
-    pre_t, pre_s = _dense(trend, wt), _dense(h.data - trend, ws)
+    def pathways():  # the trend, the seasonal part, their pre-activations and the MLP input
+        trend = _dense(h.data, counts)
+        trend *= 1.0 / window
+        seasonal = h.data - trend
+        pre_t, pre_s = _dense(trend, wt), _dense(seasonal, ws)
+        mixed = np.maximum(pre_t, 0.0)
+        mixed += np.maximum(pre_s, 0.0)
+        return trend, seasonal, pre_t, pre_s, mixed
+
+    hid, y = _mlp2_forward(pathways()[-1], w1, b1, w2, b2)
     if not taped:
-        del trend
-    mixed = np.maximum(pre_t, 0.0) + np.maximum(pre_s, 0.0)
-    mask_t, mask_s = (pre_t > 0.0, pre_s > 0.0) if taped else (None, None)
-    del pre_t, pre_s
-    hid, y = _mlp2_forward(mixed, w1, b1, w2, b2)
-    if not taped:
-        del mixed, hid
+        del hid
     xhat, inv = _norm_rows(y)
     del y
     out = xhat * gain + shift
 
     def pull(g, acc):
         dy, ggain, gshift = _norm_rows_pull(g, xhat, inv, gain)
+        trend, seasonal, pre_t, pre_s, mixed = pathways()
         dmixed, gw1, gb1, gw2, gb2 = _mlp2_pull(dy, mixed, hid, w1, w2)
-        dt, ds = dmixed * mask_t, dmixed * mask_s
+        del dy, mixed
+        dt = dmixed * (pre_t > 0.0)
+        ds = np.multiply(dmixed, pre_s > 0.0, out=dmixed)
+        del pre_t, pre_s
         dseasonal = _dense(ds, ws.T)
-        dtrend = _dense(dt, wt.T) - dseasonal
-        dh = dseasonal + _dense(dtrend * (1.0 / window), counts.T)
-        grads = (dh, _wgrad(trend, dt), _wgrad(h.data - trend, ds),
+        dtrend = _dense(dt, wt.T)
+        dtrend -= dseasonal
+        dtrend *= 1.0 / window
+        dh = _dense(dtrend, counts.T)
+        dh += dseasonal
+        grads = (dh, _wgrad(trend, dt), _wgrad(seasonal, ds),
                  gw1, gb1, gw2, gb2, ggain, gshift)
         for t, grad in zip((h, *tensors), grads):
             acc(t, grad)
@@ -494,26 +538,38 @@ def tfe_layer(h, blocks, counts, window):
 def _graph_conv(adj, h, w):
     """One graph-convolution layer: h·w, and relu(adj·(h·w) + h·w)."""
     y = _dense(h, w)
-    return y, np.clip(np.matmul(adj, y) + y, 0.0, np.inf)
+    out = np.matmul(adj, y)
+    out += y
+    return y, np.clip(out, 0.0, np.inf, out=out)
 
 
-def _graph_conv_pull(g, out, adj, y, acc):
-    """Push the adjacency's adjoint for a `_graph_conv` with output `out`, and
-    return the adjoint of y = h·w. The ReLU passes where out > 0 and finite,
-    which is where the pre-activation does."""
-    gs = g * ((out > 0.0) & (out < np.inf))
+def _relu_passes(out):
+    """Where a ReLU output passes its adjoint: where it is > 0 and finite,
+    which is where the pre-activation is."""
+    return (out > 0.0) & (out < np.inf)
+
+
+def _graph_conv_pull(g, passes, adj, y, acc):
+    """Push the adjacency's adjoint for a `_graph_conv` whose ReLU passes
+    where the bool mask `passes` is true, and return the adjoint of h·w.
+    y = h·w is read only when adj needs a gradient."""
+    gs = g * passes
     if adj.requires_grad:
         acc(adj, np.matmul(gs, np.swapaxes(y, -1, -2)))
-    return gs + np.matmul(np.swapaxes(adj.data, -1, -2), gs)
+    dy = np.matmul(np.swapaxes(adj.data, -1, -2), gs)
+    dy += gs
+    return dy
 
 
 def gcn2(adj, x, w0, w1):
     """Two graph-convolution layers over node features x [..., n x d] and a
     graph adj [..., n x n] with x's leading axes: h1 = relu(adj·(x·w0) + x·w0),
     then h2 = relu(adj·(h1·w1) + h1·w1), and the mean of h2's rows [..., e].
-    One record, which keeps x·w0, h1, h1·w1 and h2; its pull spreads the
-    pooled adjoint evenly over the nodes, takes each layer's ReLU mask from
-    that layer's output and pushes the graph's adjoint for the second layer first.
+    One record, which keeps h1 and the ReLU mask of h2 as bool, plus x·w0
+    and h1·w1 when adj needs a gradient, as only the graph's adjoint reads
+    them. Its pull spreads the pooled adjoint evenly over the nodes,
+    recomputes h1's ReLU mask from h1 and pushes the graph's adjoint for
+    the second layer first.
     """
     tensors = tuple(_as_tensor(t) for t in (adj, x, w0, w1))
     adj, x, w0, w1 = tensors
@@ -524,19 +580,22 @@ def gcn2(adj, x, w0, w1):
                          f"equal leading axes, got {ash}, {xsh}, {w0sh} and {w1sh}")
     taped = _records(tensors)
 
+    keep_y = taped and adj.requires_grad
     y0, h1 = _graph_conv(adj.data, x.data, w0.data)
-    if not taped:
-        del y0
+    y0 = y0 if keep_y else None
     y1, h2 = _graph_conv(adj.data, h1, w1.data)
+    y1 = y1 if keep_y else None
     pooled = h2.mean(axis=-2)
+    passes2 = _relu_passes(h2) if taped else None
+    del h2
     if not taped:
-        del h1, y1, h2
+        del h1
 
     def pull(g, acc):
-        g = np.broadcast_to(np.expand_dims(g, -2) / h2.shape[-2], h2.shape)
-        gy1 = _graph_conv_pull(g, h2, adj, y1, acc)
+        g = np.broadcast_to(np.expand_dims(g, -2) / passes2.shape[-2], passes2.shape)
+        gy1 = _graph_conv_pull(g, passes2, adj, y1, acc)
         acc(w1, _wgrad(h1, gy1))
-        gy0 = _graph_conv_pull(_dense(gy1, w1.data.T), h1, adj, y0, acc)
+        gy0 = _graph_conv_pull(_dense(gy1, w1.data.T), _relu_passes(h1), adj, y0, acc)
         if x.requires_grad:
             acc(x, _dense(gy0, w0.data.T))
         acc(w0, _wgrad(x.data, gy0))
@@ -562,7 +621,9 @@ def cosine_graph(x, site):
     safe = np.where(zero, 1.0, norms)[..., None]
     y = x.data / safe
     a = np.matmul(y, np.ascontiguousarray(np.swapaxes(y, -1, -2)))
-    a = (a + np.ascontiguousarray(np.swapaxes(a, -1, -2))) * 0.5
+    del y
+    a += np.swapaxes(a, -1, -2)  # NumPy buffers the overlapping transpose
+    a *= 0.5
     np.clip(a, -1.0, 1.0, out=a)
     diag = np.arange(a.shape[-1])
     a[..., diag, diag] = 1.0
@@ -573,10 +634,13 @@ def cosine_graph(x, site):
         # (g·mask)/2, the adjoint of y is s·y + (yᵀ·s)ᵀ = 2·s·y, as s is
         # exactly symmetric: one product, with the 2 folded into s.
         s = g * ((a > -1.0) & (a < 1.0))
-        s = s + np.swapaxes(s, -1, -2)
+        s += np.swapaxes(s, -1, -2)
         y = x.data / safe
-        gy = np.matmul(s, y)
-        d = (gy - y * (gy * y).sum(axis=-1, keepdims=True)) / safe
+        d = np.matmul(s, y)
+        del s
+        t = d * y
+        d -= np.multiply(y, t.sum(axis=-1, keepdims=True), out=t)
+        d /= safe
         d[zero] = 0.0
         acc(x, d)
 
@@ -591,15 +655,20 @@ def class_spread(stack, mean_of, weight):
 
     def differences():
         flat = stack.data.reshape(len(mean_of), -1)
-        return flat - mean_of @ flat
-
-    diff = differences()
+        means = mean_of @ flat
+        return np.subtract(flat, means, out=means)
 
     def pull(g, acc):
-        d = g * weight * differences() * 2.0
-        acc(stack, (d - mean_of.T @ d).reshape(stack.data.shape))
+        d = differences()
+        d *= g * weight
+        d *= 2.0
+        d -= mean_of.T @ d
+        acc(stack, d.reshape(stack.data.shape))
 
-    return _op((diff * diff * weight).sum(), (stack,), pull)
+    sq = differences()
+    sq *= sq
+    sq *= weight
+    return _op(sq.sum(), (stack,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,9 @@ def gcn_forward(adj, node_feats, params, cfg: ModelConfig, level):
     Each layer is relu((A + I) h W) with no degree normalization, computed
     as A (h W) + h W so the n x n product meets the narrow h W and no
     identity matrix is built; node features start from the Pearson matrix.
-    The record keeps each layer's h W and output; a tape-free forward does not.
+    The record keeps the first layer's output and the second layer's ReLU
+    mask as bool, plus each layer's h W when adj needs a gradient; its pull
+    recomputes the first ReLU mask. A tape-free forward keeps none of them.
     """
     n = cfg.n_rois
     if adj.data.shape[-2:] != (n, n):

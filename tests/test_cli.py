@@ -338,15 +338,6 @@ def test_train_ablate_flag_removed(dataset_dir, tmp_path):
     assert rc == 2
 
 
-def test_train_conflicting_geometry_rejected(dataset_dir, tmp_path, capsys):
-    rc = main([
-        "train", "--manifest", str(dataset_dir / "manifest.json"),
-        "--out", str(tmp_path / "bad"), "--set", "model.n_rois=99", *TRAIN_ARGS,
-    ])
-    assert rc == 2
-    assert "config key 'model.n_rois' is set by the dataset's manifest" in capsys.readouterr().err
-
-
 def test_train_on_a_csv_layout_matches_the_npy_run_byte_for_byte(dataset_dir, trained_dir,
                                                                    tmp_path):
     manifest = _write_csv_layout(dataset_dir, tmp_path / "csv")

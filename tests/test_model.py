@@ -864,6 +864,54 @@ def test_taped_gcn_record_keeps_at_most_half_the_composed_bytes(cfg, params):
     assert 0 < kept[1] <= kept[0] / 2
 
 
+# The record tests below count what a kernel keeps beyond its inputs and its
+# output, on shapes whose axes differ so that each kept array shows in the sum.
+
+
+@pytest.mark.parametrize("graph_grad", [False, True], ids=["constant-graph", "learned-graph"])
+def test_taped_gcn_record_keeps_what_its_docstring_lists(graph_grad):
+    # h1 and h2's ReLU mask as bool; x·w0 and h1·w1 only for a learned graph.
+    cfg = tiny_config(n_rois=5, attention_heads=1, gcn_hidden=7)
+    params = init_params(cfg, derive_rng(46, "init"))
+    b, n, g = 3, cfg.n_rois, cfg.gcn_hidden
+    rng = derive_rng(47, "gcn")
+    adj = Tensor(rng.normal(size=(b, n, n)), requires_grad=graph_grad)
+    feats = Tensor(rng.normal(size=(b, n, n)))
+    with ad.recording() as tape:
+        out = gcn_forward(adj, feats, params, cfg, level=1)
+    inputs = (adj, feats, params["gcn1.w0"], params["gcn1.w1"])
+    floats = b * n * g * (3 if graph_grad else 1)
+    assert _kept_bytes(tape.records, (*inputs, out)) == 8 * floats + b * n * g
+
+
+def test_taped_sfe_record_keeps_what_its_docstring_lists():
+    # The attention weights, the ln2 and ln_out normalised rows, the three
+    # inverse stds, the hidden activations and the two masks as bool.
+    cfg = tiny_config(embed_len=10, hidden_size=7)
+    params = init_params(cfg, derive_rng(48, "init"))
+    b, n, l = 3, cfg.n_rois, cfg.embed_len
+    h = Tensor(derive_rng(49, "h").normal(size=(b, n, l)), requires_grad=True)
+    with ad.recording() as tape:
+        out = sfe_forward(h, params, cfg, level=1, rng=derive_rng(50, "dropout"))
+    blocks = [params[f"stfe1.sfe.{name}"] for name in ad.ENCODER_BLOCKS]
+    floats = b * cfg.attention_heads * l * l + 2 * b * l * n + 3 * b * l + b * l * cfg.hidden_size
+    assert _kept_bytes(tape.records, (h, *blocks, out)) == 8 * floats + 2 * b * l * n
+
+
+def test_taped_tfe_record_keeps_what_its_docstring_lists():
+    # The MLP hidden activations and the norm's normalised rows and inverse
+    # stds; the window counts are the caller's constant.
+    cfg = tiny_config(embed_len=10)
+    params = init_params(cfg, derive_rng(51, "init"))
+    b, n, l = 3, cfg.n_rois, cfg.embed_len
+    h = Tensor(derive_rng(52, "h").normal(size=(b, n, l)), requires_grad=True)
+    with ad.recording() as tape:
+        out = tfe_forward(h, params, cfg, level=1)
+    blocks = [params[f"stfe1.tfe.{name}"] for name in ad.TFE_BLOCKS]
+    counts = Tensor(model_module._window_counts(l, cfg.kernel_size))
+    assert _kept_bytes(tape.records, (h, *blocks, counts, out)) == 8 * (2 * b * n * l + b * n)
+
+
 def test_readout_identical_rows_pool_to_single_row(cfg, params):
     # On the complete graph every node sums the same n + 1 rows, so all node
     # rows stay equal, relu((n + 1)·h·W) of the shared row h in each layer,
