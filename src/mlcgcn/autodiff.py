@@ -189,18 +189,6 @@ def matmul(a, b):
     return _op(a.data @ b.data, (a, b), pull)
 
 
-def transpose(x):
-    """Swap the last two axes; leading axes are batch axes."""
-    x = _as_tensor(x)
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose expects at least 2 axes, got shape {x.data.shape}")
-
-    def pull(g, acc):
-        acc(x, np.swapaxes(g, -1, -2))
-
-    return _op(np.ascontiguousarray(np.swapaxes(x.data, -1, -2)), (x,), pull)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
 
@@ -360,6 +348,62 @@ def _norm_rows_pull(g, xhat, inv, gain):
     dx -= np.multiply(xhat, mean_gx_xhat, out=t)
     dx *= inv
     return dx, np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+def embed_layer(series, kernels, bias, w, table=None):
+    """Temporal embedding [..., l] of the rows of the constant series [..., L]:
+    relu(conv(series)·w) + table, with conv the zero-padded cross-correlation
+    with the kernels [m x t] (t odd) plus one bias per kernel [m], flattened
+    kernel-major to [m·L], w [m·L x l] and the constant `table` added after
+    the ReLU (None for none). No gradient flows to the series.
+
+    Conv and projection are linear, so they run as one map from the padded
+    series, v [(L+t-1) x l] = the sum over taps i of kernelsᵀ·w's tap block i
+    [L x l] shifted down i rows, plus the row the biases give. One record,
+    which keeps the padded series rows and the ReLU mask as bool. Its pull
+    slices each tap block's adjoint out of v's.
+    """
+    tensors = tuple(_as_tensor(t) for t in (kernels, bias, w))
+    kernels, bias, w = tensors
+    L = series.shape[-1]
+    (m, t), l = kernels.data.shape, w.data.shape[-1]
+    if bias.data.shape != (m,) or w.data.shape != (m * L, l) or t % 2 == 0:
+        raise ShapeError(f"embed_layer expects [{m} x t] kernels with t odd, a [{m}] bias and "
+                         f"a [{m * L} x l] map for series [..., {L}], got {kernels.data.shape}, "
+                         f"{bias.data.shape} and {w.data.shape}")
+    taped = _records(tensors)
+    wk = w.data.reshape(m, L * l)  # [kernel, position * l]
+    taps = (np.ascontiguousarray(kernels.data.T) @ wk).reshape(t, L, l)
+    v = np.zeros((L + t - 1, l))
+    for i in range(t):
+        v[i:i + L] += taps[i]
+    del taps
+    c = np.ones((1, L)) @ (bias.data.reshape(1, m) @ wk).reshape(L, l)  # the sum over positions
+    pad = (t - 1) // 2
+    rows = np.pad(series, [(0, 0)] * (series.ndim - 1) + [(pad, pad)]).reshape(-1, L + t - 1)
+    out = (rows @ v).reshape(*series.shape[:-1], l)
+    out += c
+    np.clip(out, 0.0, np.inf, out=out)
+    if taped:
+        passes = _relu_passes(out)
+    else:
+        rows = passes = None  # a tape-free forward keeps neither
+    if table is not None:
+        out += table
+
+    def pull(g, acc):
+        gs = g * passes
+        gc = _unbroadcast(gs, (1, l))
+        gv = rows.T @ gs.reshape(-1, l)
+        gtaps = np.stack([gv[i:i + L] for i in range(t)]).reshape(t, L * l)
+        gpos = np.broadcast_to(gc, (L, l)).reshape(1, L * l)  # gc at every position
+        gw = np.ascontiguousarray(kernels.data.T).T @ gtaps  # kernels laid out as the forward read them
+        gw += np.multiply.outer(bias.data, gpos[0])
+        acc(kernels, (gtaps @ wk.T).T)
+        acc(bias, (gpos @ wk.T).reshape(m))
+        acc(w, gw.reshape(m * L, l))
+
+    return _op(out, tensors, pull)
 
 
 # The blocks of `encoder_layer`, in the order its record lists them after h.

@@ -107,11 +107,13 @@ class LevelOutputs:
     embeddings: list  # one [B x e] tensor per encoded graph level
 
 
+@functools.lru_cache(maxsize=8)
 def positional_encoding(n_tokens, dim):
     """Constant sinusoidal position table [n_tokens x dim].
 
     Even columns hold sin(pos / 10000^(col/dim)), odd columns the matching
-    cosine. Values are bounded in [-1, 1] and never trained.
+    cosine. Values are bounded in [-1, 1] and never trained. Cached
+    read-only, so every forward shares one array (a run uses one shape).
     """
     if dim < 1:
         raise ConfigError(f"positional encoding dim must be >= 1, got {dim}")
@@ -122,7 +124,8 @@ def positional_encoding(n_tokens, dim):
     pe[:, 0::2] = np.sin(pos / denom)
     n_odd = pe[:, 1::2].shape[1]
     pe[:, 1::2] = np.cos(pos / denom[:n_odd])
-    return Tensor(pe)
+    pe.flags.writeable = False
+    return pe
 
 
 def param_shapes(cfg: ModelConfig) -> dict:
@@ -208,45 +211,20 @@ def generate_adjacency(h_level: Tensor, level) -> Tensor:
     return ad.cosine_graph(h_level, f"level {level}")
 
 
-@functools.lru_cache(maxsize=8)
-def _tap_placement(L, t):
-    """Constant 0/1 map [(L+t-1) x t*L] from (tap, position) to padded position.
-
-    Entry [pos + tap, tap*L + pos] is 1: padded input position pos + tap is
-    what kernel tap `tap` reads for output position pos. Cached read-only, so
-    every forward on a tape shares one array (a run uses one (L, t)).
-    """
-    placement = np.zeros((L + t - 1, t * L))
-    tap, pos = np.divmod(np.arange(t * L), L)
-    placement[pos + tap, np.arange(t * L)] = 1.0
-    placement.flags.writeable = False
-    return placement
-
-
 def embed(x, params, cfg: ModelConfig) -> Tensor:
     """Per-ROI temporal embedding [..., n x l]: conv, flatten, project, activate, +PE.
 
     The zero-padded conv (cross-correlation, one bias per kernel), the
-    m-major flatten and the projection `embed.w` are all linear, so they
-    compose into one map from the padded series: v [(L+t-1) x l], built from
-    the parameters on every call, plus the constant row c [l] the biases
-    give. The series x is data; no gradient flows to it.
+    m-major flatten, the projection `embed.w`, the ReLU and the position
+    table are one `ad.embed_layer` record, which keeps the padded series and
+    the ReLU mask. The series x is data; no gradient flows to it.
     """
-    n, L, l = cfg.n_rois, cfg.series_len, cfg.embed_len
-    m, t = cfg.conv_kernels, cfg.kernel_size
+    n, L = cfg.n_rois, cfg.series_len
     if x.data.shape[-2:] != (n, L):
         raise ShapeError(f"input series must be [{n} x {L}], got {x.data.shape}")
-    w = ad.reshape(params["embed.w"], (m, L * l))  # [kernel, position * l]
-    taps = ad.reshape(ad.matmul(ad.transpose(params["embed.kernels"]), w), (t * L, l))
-    v = ad.matmul(Tensor(_tap_placement(L, t)), taps)
-    per_position = ad.reshape(ad.matmul(ad.reshape(params["embed.bias"], (1, m)), w), (L, l))
-    c = ad.matmul(Tensor(np.ones((1, L))), per_position)  # the sum over positions
-    pad = (t - 1) // 2
-    rows = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)]).reshape(-1, L + t - 1)
-    z = ad.relu(ad.add(ad.reshape(ad.matmul(Tensor(rows), v), (*x.data.shape[:-1], l)), c))
-    if cfg.use_positional_encoding:
-        z = ad.add(z, positional_encoding(n, l))
-    return z
+    table = positional_encoding(n, cfg.embed_len) if cfg.use_positional_encoding else None
+    return ad.embed_layer(x.data, params["embed.kernels"], params["embed.bias"],
+                          params["embed.w"], table)
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,7 +9,7 @@ derived from (seed, fold index), so runs are bit-reproducible end to end.
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,52 +61,62 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment accumulators for decoupled-weight-decay Adam."""
+    """Decoupled-weight-decay Adam moments as two flat vectors: every
+    parameter block's entries in turn, in the order of the params mapping."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
-        state = cls()
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        size = sum(p.data.size for p in params.values())
+        return cls(np.zeros(size), np.zeros(size))
 
 
 def adamw_step(params, state: OptimizerState, cfg: TrainConfig):
     """One optimizer step over all parameters, reading grads from `.grad`.
 
     Moments use bias correction; weight decay is decoupled from the adaptive
-    update. A step refused for a non-finite gradient or new value changes no
-    block, moment or step count, and names the first bad block.
+    update. The blocks' values and grads (zeros for a None grad) are gathered
+    into two flat vectors and stepped in one pass, with the moments; each
+    block is then rebound as a view of the new value vector. A step refused
+    for a non-finite gradient or new value changes no block, moment or step
+    count, and names the first bad block.
     """
+    blocks = list(params.items())
+    sizes = [p.data.size for _, p in blocks]
+    ends = np.cumsum(sizes)
     step = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step
-
-    def stepped(name, p):  # the block's new first and second moments and value
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = b1 * state.m[name] + (1 - b1) * g
-        v = b2 * state.v[name] + (1 - b2) * g * g
-        update = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        update += cfg.learning_rate * cfg.weight_decay * p.data
-        return m, v, p.data - update
-
-    held = {}  # the checked values of small blocks; large ones are stepped again, not held
-    with np.errstate(all="ignore"):  # non-finite values are what this pass looks for
-        for name, p in params.items():
-            new = stepped(name, p)
-            if not np.isfinite(new[2]).all():  # as it always is for a non-finite gradient
-                raise TrainingError(f"step aborted: non-finite gradient or update in {name!r}")
-            if p.data.size < 4096:
-                held[name] = new
-    state.step = step
-    for name, p in params.items():
-        state.m[name], state.v[name], p.data = held.get(name) or stepped(name, p)
+    g = np.concatenate([np.zeros(size) if p.grad is None else p.grad.ravel()
+                        for (_, p), size in zip(blocks, sizes)])
+    value = np.concatenate([p.data.ravel() for _, p in blocks])
+    with np.errstate(all="ignore"):  # non-finite values are what the check below looks for
+        m = np.multiply(state.m, b1)
+        v = np.multiply(state.v, b2)
+        update = np.multiply(g, 1 - b2)  # scratch until the update itself
+        update *= g
+        v += update
+        g *= 1 - b1
+        m += g
+        np.divide(m, bc1, out=update)
+        update *= cfg.learning_rate
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        update /= g
+        update += np.multiply(value, cfg.learning_rate * cfg.weight_decay, out=g)
+        value -= update
+    bad = ~np.isfinite(value)  # as it always is for a non-finite gradient
+    if bad.any():
+        name = blocks[np.searchsorted(ends, bad.argmax(), side="right")][0]
+        raise TrainingError(f"step aborted: non-finite gradient or update in {name!r}")
+    state.m, state.v, state.step = m, v, step
+    for (_, p), size, end in zip(blocks, sizes, ends):
+        p.data = value[end - size:end].reshape(p.data.shape)
 
 
 def mixup_batch(series_batch, targets: BatchTargets, mixup_alpha, rng):

@@ -381,6 +381,23 @@ def _masked_mlp2(i):
 _GCN2_SHAPES = [(2, 3, 3), (2, 3, 4), (4, 5), (5, 2)]
 _GCN2 = [Tensor(_rand(shape, 100 + i)) for i, shape in enumerate(_GCN2_SHAPES)]
 
+# embed_layer on a batch of two 3-row series of length 6, with 4 kernels of
+# width 3, 5 outputs and a position table; every axis differs in length.
+_EMBED_SHAPES = [(4, 3), (4,), (24, 5)]
+_EMBED = [Tensor(_rand(shape, 110 + i)) for i, shape in enumerate(_EMBED_SHAPES)]
+_EMBED_SERIES, _EMBED_TABLE = _rand((2, 3, 6), 113), _rand((3, 5), 114)
+
+
+def _embed_layer(i):
+    """ad.embed_layer on the constant series as a function of its i-th
+    parameter (kernels, bias, w)."""
+    def op(p):
+        inputs = [*_EMBED]
+        inputs[i] = p
+        return ad.embed_layer(_EMBED_SERIES, *inputs, _EMBED_TABLE)
+    return op
+
+
 OP_CASES = [
     ("add", lambda p: ad.add(p, Tensor(_rand((3, 4), 10))), (3, 4)),
     ("add_broadcast", lambda p: ad.add(Tensor(_rand((3, 4), 11)), p), (4,)),
@@ -391,8 +408,6 @@ OP_CASES = [
     ("clamp", lambda p: ad.clamp(p, -0.5, 0.5), (3, 4)),
     ("matmul_left", lambda p: ad.matmul(p, Tensor(_rand((4, 2), 16))), (3, 4)),
     ("matmul_right", lambda p: ad.matmul(Tensor(_rand((2, 3), 17)), p), (3, 4)),
-    ("transpose", ad.transpose, (3, 4)),
-    ("transpose_3d", ad.transpose, (2, 3, 4)),
     ("reshape", lambda p: ad.reshape(p, (4, 3)), (3, 4)),
     ("concat", lambda p: ad.concat([p, Tensor(_rand((3, 4), 18))], axis=1), (3, 4)),
     ("softmax_rows", ad.softmax_rows, (3, 4)),
@@ -409,6 +424,8 @@ OP_CASES = [
     ("class_spread_3d", lambda p: ad.class_spread(p, _MEAN_OF, _WEIGHT), (3, 2, 2)),
     *((f"mlp2_masked_{name}", _masked_mlp2(i), shape)
       for i, (name, shape) in enumerate(zip(("x", "w1", "b1", "w2", "b2"), [(3, 4), *_MLP2_SHAPES]))),
+    *((f"embed_layer_{name}", _embed_layer(i), shape)
+      for i, (name, shape) in enumerate(zip(("kernels", "bias", "w"), _EMBED_SHAPES))),
 ]
 
 
@@ -420,7 +437,6 @@ POLICY_CASES = [
     ("log", ad.log, [(3, 4)]),
     ("clamp", lambda x: ad.clamp(x, 0.8, 1.2), [(3, 4)]),
     ("matmul", ad.matmul, [(3, 4), (4, 2)]),
-    ("transpose", ad.transpose, [(2, 3, 4)]),
     ("reshape", lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
     ("concat", lambda a, b: ad.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
     ("stack_rows", lambda a, b: ad.stack_rows([a, b]), [(3, 4), (3, 4)]),
@@ -441,6 +457,7 @@ POLICY_CASES = [
     ("mlp2", ad.mlp2, [(3, 4), *_MLP2_SHAPES]),
     ("gcn2", ad.gcn2, _GCN2_SHAPES),
     ("mlp2_masked", lambda *t: ad.mlp2(*t, _MLP2_KEEP, 0.3), [(3, 4), *_MLP2_SHAPES]),
+    ("embed_layer", lambda *t: ad.embed_layer(_EMBED_SERIES, *t, _EMBED_TABLE), _EMBED_SHAPES),
 ]
 
 
@@ -468,6 +485,17 @@ def test_op_adjoint_matches_finite_differences(name, op, shape):
         return ad.sum_all(ad.mul(out, out))
 
     assert ad.finite_diff_check(f, p, eps=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("shapes", [
+    [(4, 3), (3,), (24, 5)],  # one bias too few
+    [(4, 3), (4,), (20, 5)],  # w does not take 4 kernels at 6 positions
+    [(4, 2), (4,), (24, 5)],  # an even kernel width has no centre tap
+], ids=["bias", "w", "even-width"])
+def test_embed_layer_rejects_shapes_that_do_not_fit(shapes):
+    got = f"got {shapes[0]}, {shapes[1]} and {shapes[2]}"
+    with pytest.raises(ShapeError, match=re.escape(got)):
+        ad.embed_layer(_EMBED_SERIES, *(Tensor(np.ones(s)) for s in shapes))
 
 
 @pytest.mark.parametrize("shapes", [

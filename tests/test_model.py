@@ -132,20 +132,20 @@ def test_param_count_is_a_pure_function_of_config(cfg):
 
 
 def test_positional_encoding_row_zero():
-    pe = positional_encoding(4, 8).data
+    pe = positional_encoding(4, 8)
     np.testing.assert_array_equal(pe[0, 0::2], 0.0)
     np.testing.assert_array_equal(pe[0, 1::2], 1.0)
 
 
 def test_positional_encoding_first_position():
-    pe = positional_encoding(4, 8).data
+    pe = positional_encoding(4, 8)
     assert pe[1, 0] == pytest.approx(np.sin(1.0))
 
 
 @given(st.integers(1, 50), st.integers(1, 40))
 @settings(max_examples=30)
 def test_positional_encoding_bounded(n_tokens, dim):
-    pe = positional_encoding(n_tokens, dim).data
+    pe = positional_encoding(n_tokens, dim)
     assert pe.shape == (n_tokens, dim)
     assert np.abs(pe).max() <= 1.0
 
@@ -160,7 +160,7 @@ def test_embed_zero_projection_isolates_positional_encoding(cfg, params, x):
     zeroed["embed.bias"] = Tensor(np.zeros_like(params["embed.bias"].data), requires_grad=True)
     z = embed(x, zeroed, cfg)
     np.testing.assert_array_equal(
-        z.data, positional_encoding(cfg.n_rois, cfg.embed_len).data
+        z.data, positional_encoding(cfg.n_rois, cfg.embed_len)
     )
 
 
@@ -195,7 +195,7 @@ def _embed_reference(x, params, cfg):
         for pos in range(L):
             conv[..., k, pos] = padded[..., pos:pos + t] @ kernels[k] + bias[k]
     z = np.maximum(conv.reshape(*x.shape[:-1], m * L) @ w, 0.0)
-    return z + positional_encoding(cfg.n_rois, cfg.embed_len).data
+    return z + positional_encoding(cfg.n_rois, cfg.embed_len)
 
 
 @pytest.mark.parametrize("kernel_size", [1, 3, 5])
@@ -233,6 +233,86 @@ def test_embed_ones_kernel_sums_a_zero_padded_window():
     np.testing.assert_array_equal(z, [[3.0, 6.0, 5.0]])
 
 
+def test_positional_encoding_is_one_cached_read_only_array():
+    table = positional_encoding(7, 6)
+    assert positional_encoding(7, 6) is table
+    assert not table.flags.writeable
+
+
+def _composed_embed(x, params, cfg):
+    """The embedding as composed taped ops: kernelsᵀ·w gives the tap blocks,
+    a 0/1 placement product sums them into the map from the padded series,
+    and the biases' row, the ReLU and the position table follow."""
+    n, L, l = cfg.n_rois, cfg.series_len, cfg.embed_len
+    m, t = cfg.conv_kernels, cfg.kernel_size
+    placement = np.zeros((L + t - 1, t * L))
+    tap, pos = np.divmod(np.arange(t * L), L)
+    placement[pos + tap, np.arange(t * L)] = 1.0
+    w = ad.reshape(params["embed.w"], (m, L * l))
+    taps = ad.reshape(ad.matmul(_transpose(params["embed.kernels"]), w), (t * L, l))
+    v = ad.matmul(Tensor(placement), taps)
+    per_position = ad.reshape(ad.matmul(ad.reshape(params["embed.bias"], (1, m)), w), (L, l))
+    c = ad.matmul(Tensor(np.ones((1, L))), per_position)
+    pad = (t - 1) // 2
+    rows = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(pad, pad)]).reshape(-1, L + t - 1)
+    z = ad.relu(ad.add(ad.reshape(ad.matmul(Tensor(rows), v), (*x.data.shape[:-1], l)), c))
+    return ad.add(z, Tensor(positional_encoding(n, l)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-scan", "batch"])
+def test_embed_kernel_matches_the_composed_ops(lead):
+    # The same parameter gradients bit for bit, given the same upstream
+    # adjoint; the map's tap blocks are summed in another order, so the
+    # forward agrees to rounding.
+    cfg = tiny_config()
+    params = init_params(cfg, derive_rng(31, "init"))
+    params["embed.bias"] = Tensor(derive_rng(32, "bias").normal(size=cfg.conv_kernels),
+                                  requires_grad=True)
+    x = Tensor(derive_rng(33, "series").normal(size=(*lead, cfg.n_rois, cfg.series_len)))
+    upstream = derive_rng(34, "upstream").normal(size=(*lead, cfg.n_rois, cfg.embed_len))
+    names = ("embed.kernels", "embed.bias", "embed.w")
+    results = []
+    for forward in (_composed_embed, embed):
+        ad.zero_grads(params)
+        with ad.recording():
+            z = forward(x, params, cfg)
+            ad.backward(ad.sum_all(ad.mul(z, Tensor(upstream))))
+        results.append((z.data, [params[name].grad for name in names]))
+    (z_ref, grads_ref), (z, grads) = results
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=4e-16 * np.abs(z_ref).max())
+    for name, got, want in zip(names, grads, grads_ref):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_embed_is_one_tape_record_iff_a_parameter_needs_a_gradient(cfg, params, x):
+    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    with ad.recording() as tape:
+        z = embed(x, params, cfg)
+        assert len(tape.records) == 1 and tape.records[0][0] is z
+        embed(x, frozen, cfg)
+        assert len(tape.records) == 1
+
+
+def test_taped_embed_record_keeps_the_padded_rows_and_a_bool_mask():
+    cfg = tiny_config(embed_len=7, conv_kernels=3)
+    params = init_params(cfg, derive_rng(35, "init"))
+    b, n, L, l, t = 2, cfg.n_rois, cfg.series_len, cfg.embed_len, cfg.kernel_size
+    x = Tensor(derive_rng(36, "series").normal(size=(b, n, L)))
+    blocks = [params[name] for name in ("embed.kernels", "embed.bias", "embed.w")]
+    with ad.recording() as tape:
+        out = embed(x, params, cfg)
+    assert _kept_bytes(tape.records, (x, *blocks, out)) == 8 * b * n * (L + t - 1) + b * n * l
+
+
+def test_tape_free_embed_keeps_nothing(cfg, params, x, monkeypatch):
+    # Without a tape, the op still builds its record, but `_record` drops it.
+    built = []
+    monkeypatch.setattr(ad, "_record", lambda *record: built.append(record))
+    out = embed(x, params, cfg)
+    blocks = [params[name] for name in ("embed.kernels", "embed.bias", "embed.w")]
+    assert len(built) == 1 and _kept_bytes(built, (x, *blocks, out)) == 0
+
+
 # ---------------------------------------------------------------------------
 # feature-extraction pathways
 
@@ -250,8 +330,8 @@ def test_sfe_zeroed_sublayers_reduce_to_layer_norm(cfg, params):
         key = f"stfe1.sfe.{name}"
         p[key] = Tensor(np.zeros_like(params[key].data), requires_grad=True)
     out = sfe_forward(h, p, cfg, level=1)
-    expected = ad.transpose(
-        _layer_norm(ad.transpose(h), p["stfe1.sfe.ln_out.gain"], p["stfe1.sfe.ln_out.shift"])
+    expected = _transpose(
+        _layer_norm(_transpose(h), p["stfe1.sfe.ln_out.gain"], p["stfe1.sfe.ln_out.shift"])
     )
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -286,6 +366,16 @@ def _bmm(a, b):
             acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return ad._op(np.matmul(a.data, b.data), (a, b), pull)
+
+
+def _transpose(x):
+    """Swap the last two axes as one taped op: the reference for the token
+    transposes inside the kernels."""
+
+    def pull(g, acc):
+        acc(x, np.swapaxes(g, -1, -2))
+
+    return ad._op(np.ascontiguousarray(np.swapaxes(x.data, -1, -2)), (x,), pull)
 
 
 def _dense(x, w):
@@ -335,20 +425,20 @@ def _composed_attention(x, params, prefix, heads):
     d = d_model // heads
 
     def split(name):  # [..., heads, d, tokens]
-        projected = ad.transpose(_dense(x, params[prefix + name]))
+        projected = _transpose(_dense(x, params[prefix + name]))
         return ad.reshape(projected, (*lead, heads, d, tokens))
 
     q_t, k_t, v_t = split("wq"), split("wk"), split("wv")
-    scores = ad.mul(_bmm(ad.transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
+    scores = ad.mul(_bmm(_transpose(q_t), k_t), Tensor(1.0 / np.sqrt(d)))
     attn = ad.softmax_rows(scores)
-    merged_t = ad.reshape(_bmm(v_t, ad.transpose(attn)), (*lead, d_model, tokens))
-    return _dense(ad.transpose(merged_t), params[prefix + "wo"])
+    merged_t = ad.reshape(_bmm(v_t, _transpose(attn)), (*lead, d_model, tokens))
+    return _dense(_transpose(merged_t), params[prefix + "wo"])
 
 
 def _composed_sfe(h_in, params, cfg, level, rng=None):
     """The spatial pathway as composed taped ops, one record per op."""
     p = f"stfe{level}.sfe."
-    x = ad.transpose(h_in)
+    x = _transpose(h_in)
     rate = cfg.dropout_rate
     keep = [None if rng is None else rng.random(x.data.shape) >= rate for _ in range(2)]
     attn_in = _layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.shift"])
@@ -358,7 +448,7 @@ def _composed_sfe(h_in, params, cfg, level, rng=None):
     ffn = _dropout(_composed_mlp2(ffn_in, params, p + "ffn."), keep[1], rate)
     x = ad.add(x, ffn)
     x = _layer_norm(x, params[p + "ln_out.gain"], params[p + "ln_out.shift"])
-    return ad.transpose(x)
+    return _transpose(x)
 
 
 def _composed_tfe(h_in, params, cfg, level):

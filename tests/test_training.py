@@ -18,6 +18,9 @@ from mlcgcn.metrics import FoldReport
 from mlcgcn.model import MLCGCN, ModelConfig, predict
 from mlcgcn.seeding import derive_rng
 from mlcgcn.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -116,8 +119,53 @@ def test_adamw_refused_step_changes_nothing():
     with pytest.raises(TrainingError, match="'b'"):
         adamw_step(params, state, TrainConfig())
     assert {name: p.data.tobytes() for name, p in params.items()} == before
-    assert all(not state.m[name].any() and not state.v[name].any() for name in params)
+    assert not state.m.any() and not state.v.any()
     assert state.step == 0
+
+
+def _per_block_adamw(values, grads, m, v, step, cfg):
+    """AdamW one block at a time, in the textbook's order of operations:
+    the reference for the flat step. Returns the new values and moments."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    out = {}
+    for name, p in values.items():
+        g = grads[name] if grads[name] is not None else np.zeros_like(p)
+        mn = b1 * m[name] + (1 - b1) * g
+        vn = b2 * v[name] + (1 - b2) * g * g
+        update = cfg.learning_rate * (mn / bc1) / (np.sqrt(vn / bc2) + ADAM_EPS)
+        update += cfg.learning_rate * cfg.weight_decay * p
+        out[name] = (p - update, mn, vn)
+    return tuple({name: o[k] for name, o in out.items()} for k in range(3))
+
+
+def test_adamw_flat_step_matches_a_per_block_reference_bit_for_bit():
+    # Blocks of mixed sizes, one of 4,480 entries; grads of mixed magnitudes,
+    # and one block without a grad in the second step.
+    rng = np.random.default_rng(11)
+    shapes = {"big": (70, 64), "vec": (5,), "one": (1,), "mat": (6, 3)}
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    cfg = TrainConfig(learning_rate=0.003, weight_decay=0.01)
+    state = OptimizerState.for_params(params)
+    values = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for step in (1, 2, 3):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                 for name, shape in shapes.items()}
+        if step == 2:
+            grads["vec"] = None
+        for name, p in params.items():
+            p.grad = grads[name]
+        adamw_step(params, state, cfg)
+        values, m, v = _per_block_adamw(values, grads, m, v, step, cfg)
+        assert state.step == step
+        for name, p in params.items():
+            assert p.data.shape == shapes[name]
+            assert p.data.tobytes() == values[name].tobytes(), (step, name)
+        assert state.m.tobytes() == np.concatenate([m[name].ravel() for name in shapes]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v[name].ravel() for name in shapes]).tobytes()
 
 
 def test_adamw_step_refused_for_a_non_finite_result_changes_nothing():
@@ -131,7 +179,7 @@ def test_adamw_step_refused_for_a_non_finite_result_changes_nothing():
     with pytest.raises(TrainingError, match="non-finite gradient or update in 'b'"):
         adamw_step(params, state, TrainConfig())
     assert {name: p.data.tobytes() for name, p in params.items()} == before
-    assert all(not state.m[name].any() and not state.v[name].any() for name in params)
+    assert not state.m.any() and not state.v.any()
     assert state.step == 0
 
 
