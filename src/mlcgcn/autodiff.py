@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations executed while a Tape is active append adjoint closures to it;
-`backward` replays the tape in reverse execution order and accumulates
-gradients into the `.grad` buffers of its leaves: the requires-grad tensors,
-such as parameters, that the tape reads but never produces.
+`backward` replays the tape backwards, each pull as late as the pulls that
+feed its adjoint allow, and accumulates gradients into the `.grad` buffers of
+its leaves: the requires-grad tensors, such as parameters, that the tape
+reads but never produces.
 All computation is 64-bit so finite-difference gradient oracles stay tight.
 """
 
+import heapq
 import warnings
 from contextlib import contextmanager
 
@@ -49,11 +51,12 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed operations, replayable in reverse.
+    """Ordered record of executed operations, replayable backwards.
 
     Each record holds (output, inputs, pull) where `pull(grad_out, acc)`
-    pushes gradient contributions to the inputs. The records keep every
-    intermediate alive until the tape itself is dropped.
+    pushes gradient contributions to the inputs, and to no other tensor:
+    `backward` orders the pulls by what each record reads and produces. The
+    records keep every intermediate alive until the tape itself is dropped.
     """
 
     __slots__ = ("records",)
@@ -719,22 +722,69 @@ def class_spread(stack, mean_of, weight):
 # reverse pass and the finite-difference oracle
 
 
+def _pull_order(records):
+    """The indices of `records` in the order `backward` pulls them: each as
+    late as its consumers allow, so an adjoint is made just before the pull
+    that uses it up.
+
+    A record's pull runs before the pull of the record that produced any of
+    its gradient-carrying inputs, and after the pulls of the later records
+    that read the same input. So each adjoint sums its parts in reverse
+    creation order, as a plain reverse replay does. Constants carry no
+    adjoint and set no constraint. This is a Kahn sort built from its end:
+    of the records whose later pulls are all placed, it places the one
+    created last.
+    """
+    last = {}  # id of a gradient-carrying tensor -> the last record to produce or read it
+    before = [[] for _ in records]  # before[j]: the records whose pulls precede j's
+    waits = [0] * len(records)  # waits[i]: how many pulls that follow i's are not yet placed
+    for i, (out, inputs, _pull) in enumerate(records):
+        for t in inputs:
+            if t.requires_grad:
+                j = last.get(id(t), i)
+                if j != i:
+                    before[j].append(i)
+                    waits[i] += 1
+                last[id(t)] = i
+        last[id(out)] = i
+    ready = [-i for i, n in enumerate(waits) if not n]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        j = -heapq.heappop(ready)
+        order.append(j)
+        for i in before[j]:
+            waits[i] -= 1
+            if not waits[i]:
+                heapq.heappush(ready, -i)
+    order.reverse()
+    return order
+
+
 def backward(loss, tape=None):
     """Populate `.grad` on the tape's leaves: requires-grad tensors that some
     record reads and none produces, such as parameter blocks.
 
-    The adjoint of the scalar `loss` is seeded with 1.0 and the tape is
-    replayed once in reverse execution order, dropping each adjoint once its
-    pull has used it; intermediates keep `.grad` None. Leaf gradients
-    accumulate into any pre-existing `.grad` buffers, so replaying twice
-    doubles them; leaves that receive no gradient are zero-filled. Each
-    `.grad` written is a fresh, writeable array.
+    The adjoint of the scalar `loss`, which a record of the tape must have
+    produced, is seeded with 1.0. The tape is replayed once, in the order of
+    `_pull_order`, dropping each adjoint once its pull has used it;
+    intermediates keep `.grad` None. Leaf gradients accumulate into any
+    pre-existing `.grad` buffers, so replaying twice doubles them; leaves
+    that receive no gradient are zero-filled. Each `.grad` written is a
+    fresh, writeable array.
     """
     tape = tape if tape is not None else active_tape()
     if tape is None:
         raise ContractError("backward requires an active tape")
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         raise ContractError("backward expects a scalar tensor produced on the tape")
+    records = tape.records
+    produced = {id(out) for out, _inputs, _pull in records}
+    if id(loss) not in produced:
+        raise ContractError(
+            "backward's loss was produced by no record of this tape: a leaf, a tensor "
+            "with no gradient-carrying input or one taped elsewhere has no gradient to replay"
+        )
 
     adjoints = {id(loss): np.ones((), dtype=np.float64)}
 
@@ -745,16 +795,15 @@ def backward(loss, tape=None):
         prev = adjoints.get(key)
         adjoints[key] = g if prev is None else prev + g
 
-    # Every consumer of a record's output comes later on the tape, so its
-    # adjoint is complete by the time the reverse replay reaches the record.
-    produced = set()
-    for out, _inputs, pull in reversed(tape.records):
-        produced.add(id(out))
+    # Every consumer of a record's output is pulled before the record, so its
+    # adjoint is complete by the time the record is pulled.
+    for i in _pull_order(records):
+        out, _inputs, pull = records[i]
         g = adjoints.pop(id(out), None)
         if g is not None:
             pull(g, acc)
 
-    for _out, inputs, _pull in tape.records:
+    for _out, inputs, _pull in records:
         for t in inputs:
             key = id(t)
             if not t.requires_grad or key in produced:

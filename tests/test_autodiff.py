@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from mlcgcn import autodiff as ad
 from mlcgcn.autodiff import Tensor
 from mlcgcn.errors import ConfigError, ContractError, OracleError, ShapeError
-from mlcgcn.model import ModelConfig, _keep_mask, _window_counts
+from mlcgcn.losses import BatchTargets
+from mlcgcn.model import MLCGCN, ModelConfig, _keep_mask, _window_counts
+from mlcgcn.training import batch_loss
 
 
 def tensor(data, grad=True):
@@ -274,6 +277,176 @@ def test_backward_leaf_grads_are_owned_writeable_arrays():
     assert not np.shares_memory(a.grad, b.grad)
     assert not np.shares_memory(c.grad, d.grad)
     np.testing.assert_array_equal(d.grad, np.full((2, 5), 0.5))
+
+
+def test_backward_refuses_a_leaf_loss():
+    w = tensor(2.0)
+    with ad.recording():
+        ad.mul(w, w)
+        with pytest.raises(ContractError, match="produced by no record"):
+            ad.backward(w)
+    assert w.grad is None
+
+
+def test_backward_refuses_a_loss_with_no_gradient_carrying_input():
+    w = tensor([1.0, 2.0])
+    with ad.recording():
+        ad.sum_all(ad.mul(w, w))
+        loss = ad.sum_all(Tensor([3.0, 4.0]))  # a constant: no record
+        with pytest.raises(ContractError, match="no gradient-carrying input"):
+            ad.backward(loss)
+    assert w.grad is None
+
+
+# ---------------------------------------------------------------------------
+# backward's pull order: each record as late as its consumers allow
+
+
+def _reverse_replay(loss, tape):
+    """The leaf adjoints of a plain reverse replay of the tape, by tensor id."""
+    adjoints = {id(loss): np.ones(())}
+
+    def acc(t, g):
+        if t.requires_grad:
+            prev = adjoints.get(id(t))
+            adjoints[id(t)] = g if prev is None else prev + g
+
+    for out, _inputs, pull in reversed(tape.records):
+        g = adjoints.pop(id(out), None)
+        if g is not None:
+            pull(g, acc)
+    return adjoints
+
+
+def _pulled(loss, tape):
+    """Run `backward` and return the tape indices in the order it pulled them."""
+    pulled = []
+
+    def logged(i, pull):
+        def run(g, acc):
+            pulled.append(i)
+            pull(g, acc)
+        return run
+
+    tape.records[:] = [(out, inputs, logged(i, pull))
+                       for i, (out, inputs, pull) in enumerate(tape.records)]
+    ad.backward(loss, tape)
+    return pulled
+
+
+def _assert_consumers_pulled_first(records, pulled):
+    """Each pulled record runs before the producer of each of its
+    gradient-carrying inputs, and the readers of each such input run in
+    reverse creation order."""
+    at = {i: k for k, i in enumerate(pulled)}
+    producer = {id(out): i for i, (out, _inputs, _pull) in enumerate(records)}
+    readers = {}
+    for i, (_out, inputs, _pull) in enumerate(records):
+        for t in inputs:
+            if t.requires_grad and i in at:
+                if id(t) in producer:
+                    assert at[i] < at[producer[id(t)]]
+                if i not in readers.setdefault(id(t), []):
+                    readers[id(t)].append(i)
+    for ids in readers.values():
+        assert sorted(ids, key=at.get) == ids[::-1]
+
+
+def _random_graph(seed):
+    """A random op graph over [3 x 4] tensors with leaves, constants, records
+    that share an input or read one twice, and records that do not feed the
+    loss; returns the four starting tensors and the loss, a sum of some of the
+    gradient-carrying tensors."""
+    rng = np.random.default_rng(seed)
+    pool = [tensor(rng.normal(size=(3, 4)), grad=k == 0 or rng.random() < 0.7) for k in range(4)]
+    ops = (ad.add, ad.mul, lambda a, _b: ad.mul(a, a), lambda a, _b: ad.softmax_rows(a),
+           lambda a, b: ad.mul(a, Tensor(b.data)))
+    for _ in range(int(rng.integers(6, 20))):
+        a, b = (pool[k] for k in rng.integers(len(pool), size=2))
+        pool.append(ops[rng.integers(len(ops))](a, b))
+    terms = [ad.sum_all(t) for t in pool if t.requires_grad and rng.random() < 0.5]
+    loss = terms[0] if terms else ad.sum_all(pool[0])
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return pool[:4], loss
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_backward_pull_order_on_random_graphs(seed):
+    with ad.recording() as tape:
+        leaves, loss = _random_graph(seed)
+    order = ad._pull_order(tape.records)
+    assert sorted(order) == list(range(len(tape.records)))
+    _assert_consumers_pulled_first(tape.records, order)
+    expected = _reverse_replay(loss, tape)
+    _assert_consumers_pulled_first(tape.records, _pulled(loss, tape))
+    read = {id(t) for _out, inputs, _pull in tape.records for t in inputs}
+    for leaf in leaves:
+        if leaf.requires_grad and id(leaf) in read:
+            want = expected.get(id(leaf), np.zeros_like(leaf.data))
+            assert leaf.grad.tobytes() == np.broadcast_to(want, leaf.data.shape).tobytes()
+        else:
+            assert leaf.grad is None
+
+
+def _acceptance_batch(n_rois=20, levels=2, batch=16, series_len=200):
+    """One `batch_loss` on a fresh tape at the acceptance model's widths,
+    dropout on and alpha 1; returns the model, the loss and the tape."""
+    cfg = ModelConfig(series_len=series_len, classes=3, n_rois=n_rois, levels=levels,
+                      embed_len=32, conv_kernels=8, hidden_size=32, attention_heads=4,
+                      gcn_hidden=32, readout_dim=32)
+    rng = np.random.default_rng(0)
+    mdl = MLCGCN(cfg, rng)
+    series = rng.normal(size=(batch, n_rois, series_len))
+    targets = BatchTargets.from_labels(np.arange(batch) % 3, 3)
+    with ad.recording() as tape:
+        loss = batch_loss(mdl, series, targets, 1.0, rng)[2]
+    return mdl, loss, tape
+
+
+def test_backward_pull_order_on_an_acceptance_batch():
+    _mdl, loss, tape = _acceptance_batch()
+    pulled = _pulled(loss, tape)
+    assert sorted(pulled) == list(range(len(tape.records)))
+    _assert_consumers_pulled_first(tape.records, pulled)
+
+
+def test_backward_matches_a_plain_reverse_replay_bit_for_bit():
+    mdl, loss, tape = _acceptance_batch()
+    expected = _reverse_replay(loss, tape)
+    ad.backward(loss, tape)
+    for p in mdl.params.values():
+        assert p.grad.tobytes() == np.broadcast_to(expected[id(p)], p.data.shape).tobytes()
+
+
+def test_backward_pulls_each_level_group_term_and_gcn_right_before_its_graph():
+    _mdl, loss, tape = _acceptance_batch()
+    op = [pull.__qualname__.split(".")[0] for _out, _inputs, pull in tape.records]
+    pulled = _pulled(loss, tape)
+    graphs = [i for i, name in enumerate(op) if name == "cosine_graph"]
+    assert len(graphs) == 2
+    for g in graphs:
+        graph = tape.records[g][0]
+        readers = [op[i] for i, (_out, inputs, _pull) in enumerate(tape.records)
+                   if any(t is graph for t in inputs)]
+        at = pulled.index(g)
+        assert readers == ["gcn2", "class_spread"]
+        assert [op[i] for i in pulled[at - 2:at + 1]] == ["class_spread", "gcn2", "cosine_graph"]
+
+
+def test_backward_peak_memory_is_below_a_plain_reverse_replay(monkeypatch):
+    def peak():
+        tracemalloc.start()
+        try:
+            _mdl, loss, tape = _acceptance_batch(n_rois=96, levels=3, batch=8, series_len=64)
+            ad.backward(loss, tape)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ordered = peak()
+    monkeypatch.setattr(ad, "_pull_order", lambda records: range(len(records) - 1, -1, -1))
+    assert ordered < peak()
 
 
 def test_no_recording_outside_tape():
